@@ -188,6 +188,7 @@ BtmUnit::wound(AbortReason r, ThreadId killer, LineAddr line)
     doomReason_ = r;
     doomAddr_ = 0;
     machine_.stats().inc("btm.wounds");
+    machine_.contention().btmHotLines().observe(line);
     if (machine_.telemetry().enabled()) {
         ConflictEdge e;
         e.aggressor = killer;

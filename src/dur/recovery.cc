@@ -13,11 +13,22 @@ namespace dur {
 
 namespace {
 
+/** A write replay can apply: a 1-, 2-, 4- or 8-byte store that stays
+ *  within one line. */
+bool
+writeFits(const RecoveredWrite &w)
+{
+    return (w.size == 1 || w.size == 2 || w.size == 4 || w.size == 8) &&
+           lineOf(w.addr) == lineOf(w.addr + w.size - 1);
+}
+
 /**
  * Scan one shard log for valid records.  Stops at the first zero
  * header (unwritten space) or invalid record (torn tail: the crash
  * hit mid-write-back).  Per-shard append serialization guarantees a
- * torn record is the last one, so stopping is truncation.
+ * torn record is the last one, so stopping is truncation.  A record
+ * whose checksum holds but which carries a write replay cannot apply
+ * is invalid too: it is truncated the same way, never trusted.
  */
 void
 scanShard(Machine &machine, unsigned shard, RecoveryReport *rep,
@@ -51,16 +62,19 @@ scanShard(Machine &machine, unsigned shard, RecoveryReport *rep,
         std::vector<std::uint64_t> words(nwords);
         for (std::uint64_t i = 0; i < nwords; ++i)
             words[i] = mem.read(base + off + 8 * (i + 1), 8);
+        // Derive the write count from the length rather than multiply
+        // the stored one: a large stored count wraps the product.
+        const std::uint64_t write_words =
+            nwords - PersistDomain::kRecordFixedWords;
         const std::uint64_t nwrites = words[2];
         const bool shape_ok =
-            nwords == PersistDomain::kRecordFixedWords +
-                          PersistDomain::kRecordWordsPerWrite * nwrites;
+            write_words % PersistDomain::kRecordWordsPerWrite == 0 &&
+            write_words / PersistDomain::kRecordWordsPerWrite == nwrites;
         if (!shape_ok ||
             persistChecksum(words.data(), words.size()) != cksum) {
             ++rep->recordsDiscarded; // Torn payload: truncate.
             break;
         }
-        rep->bytesScanned += len;
         RecoveredRecord rec;
         rec.txid = words[0];
         rec.commitTs = words[1];
@@ -77,6 +91,12 @@ scanShard(Machine &machine, unsigned shard, RecoveryReport *rep,
             rw.ufo = UfoBits{(t[2] & 0x100) != 0, (t[2] & 0x200) != 0};
             rec.writes.push_back(rw);
         }
+        if (!std::all_of(rec.writes.begin(), rec.writes.end(),
+                         writeFits)) {
+            ++rep->recordsDiscarded; // Malformed write: truncate.
+            break;
+        }
+        rep->bytesScanned += len;
         out->push_back(std::move(rec));
         off += len;
     }

@@ -253,8 +253,6 @@ MemorySystem::resolveSpecConflicts(ThreadContext &tc, LineAddr line,
             reason = AbortReason::Conflict;
         }
         if (requester_wins) {
-            if (!vc->doomed())
-                machine_.contention().btmHotLines().observe(line);
             vc->wound(reason, self, line);
         } else {
             return false; // NACKed; retry after the delay.
@@ -413,8 +411,6 @@ MemorySystem::ufoSet(ThreadContext &tc, LineAddr line, UfoBits bits)
                     continue;
                 }
             }
-            if (!vc->doomed())
-                machine_.contention().btmHotLines().observe(line);
             vc->wound(AbortReason::UfoBitSet, tc.id(), line);
         }
     }

@@ -5,8 +5,6 @@
 
 #include "sim/prof.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "sim/machine.hh"
 #include "sim/thread_context.hh"
@@ -107,7 +105,6 @@ CycleProfiler::snapshot(ThreadId t, Cycles now) const
 void
 CycleProfiler::finalize(Machine &machine)
 {
-#if UTM_PROFILING
     std::array<Cycles, kNumSlots> agg{};
     Cycles app = 0;
     for (int t = 0; t < machine.numThreads(); ++t) {
@@ -126,9 +123,6 @@ CycleProfiler::finalize(Machine &machine)
                       agg[s]);
     if (app != 0)
         stats.set(std::string("prof.cycles.") + "app", app);
-#else
-    (void)machine;
-#endif
 }
 
 ProfScope::ProfScope(Machine &machine, ThreadContext &tc, ProfComp c,
@@ -141,45 +135,6 @@ ProfScope::ProfScope(Machine &machine, ThreadContext &tc, ProfComp c,
 ProfScope::~ProfScope()
 {
     prof_.pop(tc_.id(), tc_.now());
-}
-
-void
-HotLineTable::observe(LineAddr line)
-{
-    ++observed_;
-    auto it = counts_.find(line);
-    if (it != counts_.end()) {
-        ++it->second;
-        return;
-    }
-    if (static_cast<int>(counts_.size()) < k_) {
-        counts_.emplace(line, 1);
-        return;
-    }
-    // Misra–Gries decrement step: no free slot, so every candidate
-    // pays one count and exhausted candidates are evicted.
-    for (auto c = counts_.begin(); c != counts_.end();) {
-        if (--c->second == 0)
-            c = counts_.erase(c);
-        else
-            ++c;
-    }
-}
-
-std::vector<HotLineTable::Entry>
-HotLineTable::top() const
-{
-    std::vector<Entry> out;
-    out.reserve(counts_.size());
-    for (const auto &[line, count] : counts_)
-        out.push_back({line, count});
-    std::sort(out.begin(), out.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.count != b.count)
-                      return a.count > b.count;
-                  return a.line < b.line;
-              });
-    return out;
 }
 
 } // namespace utm

@@ -18,16 +18,13 @@
  * `per_thread[].phase_cycles`.
  *
  * The profiler is purely observational — it never advances simulated
- * time — so enabling it cannot perturb an execution.  Configuring
- * with -DUFOTM_PROFILING=OFF defines UTM_PROFILING=0 and compiles
- * every UTM_PROF_PHASE site away, mirroring UFOTM_TRACING.
+ * time — so it cannot perturb an execution.
  *
- * This header also hosts the contention-attribution helpers: a
- * Misra–Gries top-K hot-line table (space-capped heavy hitters over
- * conflicting cache lines) and the otable chain-length /
+ * This header also hosts the contention attribution: per-backend
+ * Misra–Gries top-K hot-line tables (TopKTable, space-capped heavy
+ * hitters over conflicting cache lines) and the otable chain-length /
  * row-lock-wait histograms, surfaced as the stats-JSON `contention`
- * section.  These are always compiled in (they are plain observation
- * calls, not scopes) so the schema does not vary across builds.
+ * section.
  */
 
 #ifndef UFOTM_SIM_PROF_HH
@@ -36,15 +33,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "sim/stats.hh"
 #include "sim/types.hh"
-
-#ifndef UTM_PROFILING
-#define UTM_PROFILING 1
-#endif
 
 namespace utm {
 
@@ -132,7 +123,7 @@ class CycleProfiler
      * Flush every worker thread at its final clock and export the
      * aggregate `prof.cycles.<component>.<phase>` (+ `prof.cycles.app`)
      * counters.  Called once by Machine::run() after the scheduler
-     * loop drains.  No-op when compiled with UTM_PROFILING=0.
+     * loop drains.
      */
     void finalize(Machine &machine);
 
@@ -172,48 +163,11 @@ class ProfScope
     ThreadContext &tc_;
 };
 
-#if UTM_PROFILING
 #define UTM_PROF_CONCAT2(a, b) a##b
 #define UTM_PROF_CONCAT(a, b) UTM_PROF_CONCAT2(a, b)
 #define UTM_PROF_PHASE(machine, tc, comp, phase)                        \
     ::utm::ProfScope UTM_PROF_CONCAT(utm_prof_scope_, __LINE__)(        \
         (machine), (tc), (comp), (phase))
-#else
-#define UTM_PROF_PHASE(machine, tc, comp, phase) ((void)0)
-#endif
-
-/**
- * Misra–Gries heavy-hitters table over cache-line addresses: at most
- * @p k candidate lines are tracked regardless of how many distinct
- * lines conflict.  Guarantees sum(stored counts) <= observed(), and
- * any line with true frequency > observed()/(k+1) is present — which
- * is exactly the "which lines are hot" question with bounded space.
- */
-class HotLineTable
-{
-  public:
-    static constexpr int kDefaultK = 16;
-
-    explicit HotLineTable(int k = kDefaultK) : k_(k) {}
-
-    void observe(LineAddr line);
-
-    struct Entry
-    {
-        LineAddr line;
-        std::uint64_t count;
-    };
-
-    /** Tracked lines, count-descending (ties by ascending line). */
-    std::vector<Entry> top() const;
-
-    std::uint64_t observed() const { return observed_; }
-
-  private:
-    int k_;
-    std::uint64_t observed_ = 0;
-    std::unordered_map<LineAddr, std::uint64_t> counts_;
-};
 
 /**
  * Contention attribution owned by the Machine: per-backend hot-line
@@ -223,13 +177,16 @@ class HotLineTable
 class ContentionTracker
 {
   public:
-    /** Lines observed at USTM conflict resolution (<= ustm.conflicts). */
-    HotLineTable &ustmHotLines() { return ustm_; }
-    const HotLineTable &ustmHotLines() const { return ustm_; }
+    /** Hot-line table capacity, per backend. */
+    static constexpr int kHotLines = 16;
 
-    /** Lines observed at BTM spec-conflict wounds (<= btm.wounds). */
-    HotLineTable &btmHotLines() { return btm_; }
-    const HotLineTable &btmHotLines() const { return btm_; }
+    /** Lines observed at USTM conflict resolution (<= ustm.conflicts). */
+    TopKTable &ustmHotLines() { return ustm_; }
+    const TopKTable &ustmHotLines() const { return ustm_; }
+
+    /** Lines observed at BTM wounds, one per btm.wounds. */
+    TopKTable &btmHotLines() { return btm_; }
+    const TopKTable &btmHotLines() const { return btm_; }
 
     /** Otable chain length after each chain insert (aliasing depth). */
     Histogram &chainLen() { return chainLen_; }
@@ -240,8 +197,8 @@ class ContentionTracker
     const Histogram &rowLockWait() const { return rowLockWait_; }
 
   private:
-    HotLineTable ustm_;
-    HotLineTable btm_;
+    TopKTable ustm_{kHotLines};
+    TopKTable btm_{kHotLines};
     Histogram chainLen_;
     Histogram rowLockWait_;
 };

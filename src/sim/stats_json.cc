@@ -130,7 +130,7 @@ dumpJson(Machine &machine, const RunMeta &meta)
 
     // Schema v2: the profiler's aggregate phase-cycle breakdown,
     // mirrored from the prof.cycles.* counters (so the two can never
-    // disagree).  Empty when compiled with UTM_PROFILING=0.
+    // disagree).
     w.key("profile").beginObject();
     {
         const std::string prefix = "prof.cycles.";
@@ -148,7 +148,7 @@ dumpJson(Machine &machine, const RunMeta &meta)
     {
         const ContentionTracker &ct = machine.contention();
         w.key("hot_lines").beginObject();
-        const std::pair<const char *, const HotLineTable *> tables[] = {
+        const std::pair<const char *, const TopKTable *> tables[] = {
             {"ustm", &ct.ustmHotLines()},
             {"btm", &ct.btmHotLines()},
         };
@@ -156,7 +156,7 @@ dumpJson(Machine &machine, const RunMeta &meta)
             w.key(backend).beginArray();
             for (const auto &e : table->top()) {
                 w.beginObject();
-                w.kv("line", e.line);
+                w.kv("line", e.key);
                 w.kv("count", e.count);
                 w.endObject();
             }
@@ -190,8 +190,8 @@ dumpJson(Machine &machine, const RunMeta &meta)
     }
     w.endObject();
 
-    // Per-thread final clocks plus (when tracing is compiled in) the
-    // tracer's per-thread event counts.
+    // Per-thread final clocks plus the tracer's per-thread event
+    // counts.
     w.key("per_thread").beginArray();
     for (int t = 0; t < machine.numThreads(); ++t) {
         const Cycles cycles =
@@ -200,7 +200,6 @@ dumpJson(Machine &machine, const RunMeta &meta)
         w.kv("id", t);
         w.kv("cycles", cycles);
         w.key("events").beginObject();
-#if UTM_TRACING
         const TxTracer &tracer = machine.tracer();
         for (int e = 0; e < kNumTraceEvents; ++e) {
             const auto ev = static_cast<TraceEvent>(e);
@@ -209,23 +208,16 @@ dumpJson(Machine &machine, const RunMeta &meta)
             if (n != 0)
                 w.kv(traceEventName(ev), n);
         }
-#endif
         w.endObject();
         // Schema v2: per-thread phase cycles.  The `app` residual is
-        // always present so the values sum to `cycles` exactly; empty
-        // when compiled with UTM_PROFILING=0.
+        // always present so the values sum to `cycles` exactly.
         w.key("phase_cycles").beginObject();
-#if UTM_PROFILING
-        {
-            const CycleProfiler::Snapshot snap =
-                machine.profiler().snapshot(static_cast<ThreadId>(t),
-                                            cycles);
-            for (int s = 0; s < CycleProfiler::kNumSlots; ++s)
-                if (snap.cycles[s] != 0)
-                    w.kv(profSlotName(s), snap.cycles[s]);
-            w.kv("app", snap.app);
-        }
-#endif
+        const CycleProfiler::Snapshot snap =
+            machine.profiler().snapshot(static_cast<ThreadId>(t), cycles);
+        for (int s = 0; s < CycleProfiler::kNumSlots; ++s)
+            if (snap.cycles[s] != 0)
+                w.kv(profSlotName(s), snap.cycles[s]);
+        w.kv("app", snap.app);
         w.endObject();
         w.endObject();
     }

@@ -1,6 +1,5 @@
 #include "sim/telemetry.hh"
 
-#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -36,50 +35,6 @@ bucketQuantile(const std::uint64_t *buckets, std::uint64_t samples,
 }
 
 } // namespace
-
-void
-TopKTable::observe(std::uint64_t key)
-{
-    ++observed_;
-    for (Entry &e : slots_) {
-        if (e.key == key) {
-            ++e.count;
-            return;
-        }
-    }
-    if (static_cast<int>(slots_.size()) < k_) {
-        slots_.push_back({key, 1});
-        return;
-    }
-    // Misra–Gries miss on a full table: decrement every slot and drop
-    // the ones that reach zero (the arriving key is not stored).
-    for (Entry &e : slots_)
-        --e.count;
-    slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
-                                [](const Entry &e) {
-                                    return e.count == 0;
-                                }),
-                 slots_.end());
-}
-
-std::vector<TopKTable::Entry>
-TopKTable::top() const
-{
-    std::vector<Entry> out = slots_;
-    std::sort(out.begin(), out.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.count != b.count ? a.count > b.count
-                                            : a.key < b.key;
-              });
-    return out;
-}
-
-void
-TopKTable::clear()
-{
-    slots_.clear();
-    observed_ = 0;
-}
 
 void
 TelemetryBus::configure(Machine &machine, const TelemetryConfig &cfg)

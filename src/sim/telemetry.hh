@@ -66,38 +66,6 @@ struct TelemetryConfig
     int topK = 8;
 };
 
-/**
- * Deterministic bounded-memory top-K frequency sketch (Misra–Gries)
- * over opaque 64-bit keys.  Guarantee: any key responsible for more
- * than observed/(k+1) of the observations is present, and stored
- * counts are lower bounds on true frequencies.
- */
-class TopKTable
-{
-  public:
-    struct Entry
-    {
-        std::uint64_t key;
-        std::uint64_t count;
-    };
-
-    explicit TopKTable(int k = 8) : k_(k) {}
-
-    void observe(std::uint64_t key);
-
-    /** Entries sorted count-descending, key-ascending on ties. */
-    std::vector<Entry> top() const;
-
-    std::uint64_t observed() const { return observed_; }
-    bool empty() const { return slots_.empty(); }
-    void clear();
-
-  private:
-    int k_;
-    std::uint64_t observed_ = 0;
-    std::vector<Entry> slots_;
-};
-
 /** One aborter→victim conflict edge (see recordConflictEdge()). */
 struct ConflictEdge
 {

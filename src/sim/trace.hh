@@ -10,9 +10,8 @@
  * wrap — the counters feed the stats JSON `per_thread` section, the
  * rings feed the chrome://tracing exporter.
  *
- * Building with -DUTM_TRACING=0 compiles every UTM_TRACE_EVENT call
- * site away entirely (zero cost); the default build keeps tracing on
- * (one branch + array stores per transaction event).
+ * Recording costs one branch plus array stores per transaction
+ * event.
  */
 
 #ifndef UFOTM_SIM_TRACE_HH
@@ -25,10 +24,6 @@
 
 #include "mem/tm_iface.hh"
 #include "sim/types.hh"
-
-#ifndef UTM_TRACING
-#define UTM_TRACING 1
-#endif
 
 namespace utm {
 
@@ -122,13 +117,9 @@ class TxTracer
 
 /**
  * Record a transaction event on @p machine's tracer, stamped with
- * @p tc's local clock.  Compiles to nothing when UTM_TRACING == 0.
+ * @p tc's local clock.
  */
-#if UTM_TRACING
 #define UTM_TRACE_EVENT(machine, tc, ...)                              \
     ((machine).tracer().record((tc).id(), (tc).now(), __VA_ARGS__))
-#else
-#define UTM_TRACE_EVENT(machine, tc, ...) ((void)0)
-#endif
 
 #endif // UFOTM_SIM_TRACE_HH

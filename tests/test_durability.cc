@@ -12,8 +12,9 @@
  *    on a non-durable backend is ignored with a warning;
  *  - recovery: full-log recovery equals the committed history and is
  *    idempotent; synthetic torn tails (checksum mismatch, invalid
- *    length) are truncated, zero headers stop the scan cleanly, and
- *    surviving UFO protection bits are scrubbed;
+ *    length) and checksum-valid records carrying an unappliable write
+ *    or a wrapped write count are truncated, zero headers stop the
+ *    scan cleanly, and surviving UFO protection bits are scrubbed;
  *  - ScheduleTrace v2: crash-free traces keep the v1 byte format,
  *    crash traces round-trip "crash=<K>", and a recorded crash
  *    schedule replays the whole crash-recover-check cycle
@@ -184,7 +185,8 @@ TEST(Recovery, FullLogRecoveryMatchesHistoryAndIsIdempotent)
 /** Serialize synthetic redo records into a PersistentImage, starting
  *  at shard 0's record base.  A corrupt spec flips a payload word
  *  after the checksum is taken (the torn-tail shape a crash between
- *  write-backs leaves behind). */
+ *  write-backs leaves behind).  @p raw, when given, is one more
+ *  record's payload words, checksummed as they are. */
 struct RecordSpec
 {
     std::uint64_t txid, ts;
@@ -194,12 +196,24 @@ struct RecordSpec
 
 PersistentImage
 makeLogImage(const MachineConfig &mc,
-             const std::vector<RecordSpec> &recs)
+             const std::vector<RecordSpec> &recs,
+             const std::vector<std::uint64_t> &raw = {})
 {
     std::vector<std::uint8_t> bytes;
     const auto pushWord = [&bytes](std::uint64_t w) {
         for (int b = 0; b < 8; ++b)
             bytes.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+    };
+    const auto pushRecord = [&pushWord](std::vector<std::uint64_t> words,
+                                        bool corrupt) {
+        const std::uint32_t ck =
+            persistChecksum(words.data(), words.size());
+        pushWord(8 * (1 + words.size()) |
+                 (std::uint64_t(ck) << 32));
+        if (corrupt)
+            words[1] ^= 0xdead;
+        for (std::uint64_t w : words)
+            pushWord(w);
     };
     for (const RecordSpec &r : recs) {
         std::vector<std::uint64_t> words{r.txid, r.ts,
@@ -209,15 +223,10 @@ makeLogImage(const MachineConfig &mc,
             words.push_back(t[1]);
             words.push_back(t[2]);
         }
-        const std::uint32_t ck =
-            persistChecksum(words.data(), words.size());
-        pushWord(8 * (1 + words.size()) |
-                 (std::uint64_t(ck) << 32));
-        if (r.corrupt)
-            words[1] ^= 0xdead;
-        for (std::uint64_t w : words)
-            pushWord(w);
+        pushRecord(words, r.corrupt);
     }
+    if (!raw.empty())
+        pushRecord(raw, false);
     PersistentImage img;
     const Addr rec_base = mc.persist.logBase + kLineSize;
     for (std::size_t off = 0; off < bytes.size(); off += kLineSize) {
@@ -250,6 +259,57 @@ TEST(Recovery, TornTailChecksumTruncated)
     EXPECT_EQ(m.memory().read(a1, 8), 0x1111u);
     EXPECT_NE(m.memory().read(a2, 8), 0x2222u)
         << "write of the torn record leaked into recovered state";
+}
+
+TEST(Recovery, ChecksumValidRecordWithBadWriteTruncated)
+{
+    MachineConfig mc;
+    mc.numCores = 1;
+    const Addr a1 = mc.heapBase + 0x100;
+    const Addr a2 = mc.heapBase + 0x200;
+    // Each write sits in a record whose checksum holds, but replay
+    // cannot apply it: sizes 0, 3 and 9, and an 8-byte store crossing
+    // a line.  Recovery must truncate there, not abort.
+    const std::array<std::uint64_t, 3> bad[] = {
+        {a2, 0x2222, 0},
+        {a2, 0x2222, 3},
+        {a2, 0x2222, 9},
+        {a2 + kLineSize - 4, 0x2222, 8},
+    };
+    for (const auto &w : bad) {
+        SCOPED_TRACE(::testing::Message()
+                     << "addr " << w[0] << ", size " << w[2]);
+        const PersistentImage img = makeLogImage(
+            mc, {{1, 10, {{{a1, 0x1111, 8}}}, false}, {2, 11, {w}, false}});
+
+        Machine m(mc);
+        const dur::RecoveryReport rep = dur::recover(m, img);
+        EXPECT_EQ(rep.recordsScanned, 2u);
+        EXPECT_EQ(rep.recordsApplied, 1u);
+        EXPECT_EQ(rep.recordsDiscarded, 1u);
+        EXPECT_EQ(rep.maxCommitTs, 10u);
+        EXPECT_EQ(m.memory().read(a1, 8), 0x1111u);
+    }
+}
+
+TEST(Recovery, WrappedWriteCountTruncated)
+{
+    MachineConfig mc;
+    mc.numCores = 1;
+    const Addr a1 = mc.heapBase + 0x100;
+    // Seven checksum-valid payload words whose write count c makes the
+    // shape 3 + 3c wrap around to 7: recovery must truncate there, not
+    // take c at its word and try to hold ~2^63 writes.
+    const PersistentImage img =
+        makeLogImage(mc, {{1, 10, {{{a1, 0x1111, 8}}}, false}},
+                     {2, 11, 0xaaaaaaaaaaaaaaacull, 0, 0, 0, 0});
+
+    Machine m(mc);
+    const dur::RecoveryReport rep = dur::recover(m, img);
+    EXPECT_EQ(rep.recordsScanned, 2u);
+    EXPECT_EQ(rep.recordsApplied, 1u);
+    EXPECT_EQ(rep.recordsDiscarded, 1u);
+    EXPECT_EQ(m.memory().read(a1, 8), 0x1111u);
 }
 
 TEST(Recovery, ZeroHeaderStopsScanCleanly)

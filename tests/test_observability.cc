@@ -173,8 +173,6 @@ TEST(Tracer, ChromeTraceBalancesSlicesAcrossWrap)
 
 // ----------------------------------- per-backend abort attribution
 
-#if UTM_TRACING
-
 TEST(Attribution, ForcedFailoverOnUfoHybrid)
 {
     Machine m(quiet(1));
@@ -311,8 +309,6 @@ TEST(Attribution, Tl2AbortsSumAcrossReasons)
               m.stats().sumWithPrefix("tl2.aborts."));
 }
 
-#endif // UTM_TRACING
-
 // ------------------------------------------- full-schema file export
 
 TEST(StatsJson, RunWorkloadWritesSchemaValidDocument)
@@ -373,10 +369,7 @@ TEST(StatsJson, RunWorkloadWritesSchemaValidDocument)
 // docs/OBSERVABILITY.md: `tmsim -w ubench -s ufo-hybrid -t 2
 // --failover-rate 0.25 --durable --stats-json ...`; durable, so the
 // dur.* family and the persist profile phase are part of the pinned
-// bytes) must reproduce the file byte for byte.  Only meaningful in
-// the default build — the example was generated with tracing and
-// profiling compiled in.
-#if UTM_TRACING && UTM_PROFILING
+// bytes) must reproduce the file byte for byte.
 
 namespace {
 
@@ -424,8 +417,6 @@ TEST(StatsJson, CommittedExampleDocumentIsReproducible)
         << "docs/examples/stats.example.json is stale; regenerate it "
            "with the command in docs/OBSERVABILITY.md";
 }
-
-#endif // UTM_TRACING && UTM_PROFILING
 
 } // namespace
 } // namespace utm

@@ -3,9 +3,10 @@
  * Tests for the cycle-accounting profiler and contention attribution
  * (src/sim/prof.hh): the CycleProfiler's push/pop arithmetic and its
  * hard invariant (a thread's phase cycles sum exactly to its total
- * cycles, with `app` as the residual), the Misra–Gries hot-line
- * table's guarantees, and the invariant holding end-to-end on a real
- * workload for every TM system under every scheduler policy.
+ * cycles, with `app` as the residual), the guarantees of the
+ * Misra–Gries TopKTable behind the hot-line tables, and the invariant
+ * holding end-to-end on a real workload for every TM system under
+ * every scheduler policy.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +22,6 @@
 
 namespace utm {
 namespace {
-
-#if UTM_PROFILING
 
 // ------------------------------------------------ CycleProfiler unit
 
@@ -77,24 +76,24 @@ TEST(CycleProfiler, SlotNamesCoverEveryComponentAndPhase)
     }
 }
 
-// ------------------------------------------------- HotLineTable unit
+// ---------------------------------------- hot-line TopKTable unit
 
 TEST(HotLineTable, FindsTheHeavyHitter)
 {
-    HotLineTable table;
+    TopKTable table(ContentionTracker::kHotLines);
     // Skewed stream: line 7 appears 100 times among 64 distractors.
     for (int i = 0; i < 100; ++i) {
         table.observe(LineAddr(7));
         table.observe(LineAddr(1000 + (i % 64)));
     }
     ASSERT_FALSE(table.top().empty());
-    EXPECT_EQ(table.top()[0].line, LineAddr(7));
+    EXPECT_EQ(table.top()[0].key, LineAddr(7));
     EXPECT_EQ(table.observed(), 200u);
 }
 
 TEST(HotLineTable, StoredCountsLowerBoundObservedTotal)
 {
-    HotLineTable table;
+    TopKTable table(ContentionTracker::kHotLines);
     std::uint64_t fed = 0;
     for (int i = 0; i < 500; ++i) {
         table.observe(LineAddr(i % 37));
@@ -107,7 +106,8 @@ TEST(HotLineTable, StoredCountsLowerBoundObservedTotal)
     // Misra–Gries decrements can only under-count.
     EXPECT_LE(stored, fed);
     // Capped at K entries, sorted count-descending.
-    EXPECT_LE(table.top().size(), std::size_t(HotLineTable::kDefaultK));
+    EXPECT_LE(table.top().size(),
+              std::size_t(ContentionTracker::kHotLines));
     for (std::size_t i = 1; i < table.top().size(); ++i)
         EXPECT_GE(table.top()[i - 1].count, table.top()[i].count);
 }
@@ -226,44 +226,6 @@ TEST(Profiler, DoubleRunIsByteIdentical)
     EXPECT_NE(a.find("\"profile\":{"), std::string::npos);
     EXPECT_NE(a.find("\"contention\":{"), std::string::npos);
 }
-
-#else // !UTM_PROFILING
-
-// Profiling compiled out: the schema keeps its v2 shape, but the
-// profile and per-thread phase_cycles objects are empty, and no
-// prof.cycles.* counters exist.
-TEST(Profiler, CompiledOutLeavesEmptySections)
-{
-    FailoverParams p;
-    p.txPerThread = 24;
-    p.failoverRate = 0.25;
-    FailoverUbench w(p);
-    RunConfig cfg;
-    cfg.kind = TxSystemKind::UfoHybrid;
-    cfg.threads = 2;
-    cfg.statsJsonPath = ::testing::TempDir() + "/utm_prof_off.json";
-    RunResult r = runWorkload(w, cfg);
-    ASSERT_TRUE(r.valid);
-
-    std::string doc;
-    if (std::FILE *f = std::fopen(cfg.statsJsonPath.c_str(), "r")) {
-        char buf[4096];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-            doc.append(buf, n);
-        std::fclose(f);
-    }
-    EXPECT_NE(doc.find("\"profile\":{}"), std::string::npos);
-    EXPECT_NE(doc.find("\"phase_cycles\":{}"), std::string::npos);
-    for (const auto &[name, value] : r.stats)
-        EXPECT_NE(name.rfind("prof.cycles.", 0), 0u) << name;
-    // Contention attribution is always compiled (it is cheap and the
-    // schema stays stable): the section is still populated.
-    EXPECT_NE(doc.find("\"contention\":{"), std::string::npos);
-    EXPECT_NE(doc.find("\"hot_lines\""), std::string::npos);
-}
-
-#endif // UTM_PROFILING
 
 } // namespace
 } // namespace utm

@@ -363,8 +363,7 @@ def check_stats_v2(doc, counters, per_thread):
         if not cond:
             problems.append(msg)
 
-    # The profile section mirrors the prof.cycles.* counters exactly
-    # (both are empty in a UTM_PROFILING=0 build).
+    # The profile section mirrors the prof.cycles.* counters exactly.
     profile = doc.get("profile")
     expect(isinstance(profile, dict), "profile section missing")
     profile = profile if isinstance(profile, dict) else {}
@@ -380,12 +379,11 @@ def check_stats_v2(doc, counters, per_thread):
                "component.phase")
 
     # Per-thread phase cycles must sum exactly to the thread's total.
-    profiling = bool(profile)
     for t in per_thread:
         pc = t.get("phase_cycles")
         expect(isinstance(pc, dict),
                f"per_thread entry {t.get('id')} missing phase_cycles")
-        if not isinstance(pc, dict) or not profiling:
+        if not isinstance(pc, dict):
             continue
         total = sum(pc.values())
         expect(total == t.get("cycles"),
@@ -394,12 +392,11 @@ def check_stats_v2(doc, counters, per_thread):
         expect("app" in pc,
                f"per_thread[{t.get('id')}]: phase_cycles missing the "
                "app residual")
-    if profiling:
-        agg = sum(profile.values())
-        thread_total = sum(t.get("cycles", 0) for t in per_thread)
-        expect(agg == thread_total,
-               f"sum(profile.*)={agg} != sum(per_thread.cycles)="
-               f"{thread_total}")
+    agg = sum(profile.values())
+    thread_total = sum(t.get("cycles", 0) for t in per_thread)
+    expect(agg == thread_total,
+           f"sum(profile.*)={agg} != sum(per_thread.cycles)="
+           f"{thread_total}")
 
     # Contention: hot-line counts are Misra–Gries lower bounds, so
     # each backend's sum may not exceed its conflict counter.

@@ -14,8 +14,8 @@
 # the committed baselines in place).
 #
 # The simulator is deterministic, so two runs of the same tree produce
-# byte-identical rows; CI diffs a fresh --out against the committed
-# baselines with tools/benchdiff.py.
+# byte-identical rows; CI requires a fresh --out to match the committed
+# baselines byte for byte (tools/benchdiff.py reports what moved).
 
 set -euo pipefail
 
