@@ -164,9 +164,7 @@ beginRow(json::Writer &w, const Rows &rows, const Arm &a)
     if (a.series)
         w.kv("series", a.series);
     if (rows.batchK)
-        w.kv("batch_k", std::uint64_t(a.params.batch.enable
-                                          ? a.params.batch.maxBatch
-                                          : 0));
+        w.kv("batch_k", std::uint64_t(a.params.maxBatch));
     w.kv("threads", a.cfg.threads);
     if (rows.scaling)
         w.kv("shards", std::uint64_t(a.params.shards));
@@ -491,13 +489,11 @@ batchingParams(TxSystemKind kind, bool open_loop, bool quick,
     p.load.meanInterarrival =
         kind == TxSystemKind::UstmStrong ? 900 : 100;
     p.mapBuckets = 256;
-    p.batch.enable = batch_on;
-    p.batch.maxBatch = 8;
     // The sweep includes the all-software baseline (ustm-strong),
     // where amortizing the fixed software begin/commit tax is the
-    // whole point; the adaptive shrink still protects contended
-    // sites.
-    p.batch.growOnSwCommit = true;
+    // whole point (clean commits grow K on either path); the adaptive
+    // shrink still protects contended sites.
+    p.maxBatch = batch_on ? 8 : 0;
     return p;
 }
 
@@ -517,7 +513,7 @@ runBatching(bool quick, bench::JsonReport &report)
                 "maxBatch %u%s\n",
                 kClients,
                 batchingParams(TxSystemKind::UfoHybrid, false, quick, true)
-                    .batch.maxBatch,
+                    .maxBatch,
                 quick ? " (quick)" : "");
     std::printf("%-13s %-6s %-9s %9s %11s %10s %8s %8s %7s %11s\n",
                 "system", "mode", "batching", "requests", "req/Mcyc",
@@ -546,7 +542,7 @@ runBatching(bool quick, bench::JsonReport &report)
                 std::printf("%-13s %-6s %-9s %9llu %11.1f %10.3f %8llu "
                             "%8llu %7llu %11.1f\n",
                             txSystemKindName(a.cfg.kind), a.mode,
-                            a.params.batch.enable ? "on" : "off",
+                            a.params.maxBatch ? "on" : "off",
                             ull(p.served), p.throughput, p.abortRate,
                             ull(p.res.stat("batch.batches")),
                             ull(p.res.stat("batch.members")),

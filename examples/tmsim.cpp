@@ -221,8 +221,7 @@ makeWorkload(const Options &o)
         p.load.zipfTheta = 0.8;
         p.load.requestsPerClient = scaled(p.load.requestsPerClient);
         p.load.seed = o.seed;
-        p.batch.enable = o.batch;
-        p.batch.growOnSwCommit = true;
+        p.maxBatch = o.batch ? 8 : 0;
         return std::make_unique<svc::KvServiceWorkload>(p);
     }
     std::fprintf(stderr, "unknown workload '%s'\n", w.c_str());

@@ -17,25 +17,21 @@
  * K is adaptive per batch site — one site per (verb class, home
  * shard), allocated above the per-verb singleton sites so the path
  * predictor (src/hybrid/path_predictor.hh) tracks batched and
- * unbatched execution of the same verb separately:
+ * unbatched execution of the same verb separately.  K starts at 1:
  *
  *  - multiplicative shrink (halve, floor 1) when a batch aborts for
  *    a conflict- or capacity-class reason (or is killed on the
  *    software path) — a bigger footprint made the transaction a
  *    bigger target;
- *  - additive growth (+1, ceiling BatchParams::maxBatch) on a clean
- *    first-attempt hardware commit — the batch fit, try a bigger one;
- *  - software-path clean commits grow only when
- *    BatchParams::growOnSwCommit is set, so predicted-software sites
- *    keep small batches by default (the software path's conflict
- *    window grows with footprint much faster than its fixed
- *    begin/commit tax shrinks);
+ *  - additive growth (+1, ceiling SvcParams::maxBatch) on a clean
+ *    first-attempt commit, on either path — the batch fit, try a
+ *    bigger one;
  *  - environmental aborts (interrupt, syscall, page fault) leave K
  *    alone: they say nothing about the batch's footprint.
  *
- * All knobs live in BatchParams (SvcParams::batch) and default *off*;
- * with batching disabled the serving path is byte-identical to the
- * unbatched baseline.
+ * The ceiling is the one knob.  SvcParams::maxBatch = 0 (the
+ * default) turns coalescing off: the serving loop is the same, with
+ * every request on the single path at its per-verb site.
  */
 
 #ifndef UFOTM_SVC_COALESCER_HH
@@ -43,29 +39,12 @@
 
 #include <map>
 
+#include "core/tx_system.hh"
 #include "mem/tm_iface.hh"
 #include "sim/types.hh"
 #include "svc/load_gen.hh"
 
 namespace utm::svc {
-
-/** Request-coalescing knobs (SvcParams::batch); default off. */
-struct BatchParams
-{
-    /** Master switch: off keeps the serving path byte-identical. */
-    bool enable = false;
-
-    /** Batch-size ceiling (and the K histogram's upper bound). */
-    unsigned maxBatch = 8;
-
-    /** Starting K for a batch site that has not been seen yet. */
-    unsigned initialK = 1;
-
-    /** Let clean software-path commits grow K too (default: only
-     *  hardware commits grow, so predicted-software sites stay
-     *  small). */
-    bool growOnSwCommit = false;
-};
 
 /** Verb classes that may share one coalesced transaction. */
 enum class VerbClass
@@ -73,7 +52,50 @@ enum class VerbClass
     ReadOnly, ///< GET and SCAN: no writes, footprints just add up.
     Update,   ///< PUT and RMW: single-key writers, no cross pairs.
 };
-constexpr int kNumVerbClasses = 2;
+
+/** What one split-on-abort transaction did (runBatch()). */
+struct BatchRun
+{
+    unsigned served;      ///< Members the committed attempt served.
+    bool dirty = false;   ///< Some attempt aborted.
+    bool firstSw = false; ///< The first abort killed a software attempt.
+    AbortReason firstReason = AbortReason::None; ///< Its hardware reason.
+};
+
+/**
+ * Run the next @p plan members as one transaction at @p site, split
+ * on abort: the first attempt serves all @p plan, every re-execution
+ * only the first member (the rest re-batch afterwards).  A lone
+ * request is a batch of one.  @p serve(h, n) applies the first n
+ * members; on each re-execution @p charge(n, sw) learns that the
+ * previous attempt, which served n members on the software path if
+ * sw, aborted.  Host-local bookkeeping, the re-execution-tolerant
+ * pattern the TxSystem contract allows.
+ */
+template <typename Serve, typename Charge>
+BatchRun
+runBatch(ThreadContext &tc, TxSystem &sys, TxSiteId site, unsigned plan,
+         const Serve &serve, const Charge &charge)
+{
+    BatchRun run{plan};
+    unsigned attempts = 0;
+    bool prev_sw = false; // Path of the previous attempt.
+    sys.atomic(tc, site, [&](TxHandle &h) {
+        if (++attempts > 1) {
+            charge(run.served, prev_sw);
+            if (attempts == 2) {
+                run.firstSw = prev_sw;
+                run.firstReason = prev_sw ? AbortReason::None
+                                          : sys.lastHwAbortReason(tc);
+            }
+            run.served = 1;
+        }
+        prev_sw = h.path() == TxHandle::Path::Software;
+        serve(h, run.served);
+    });
+    run.dirty = attempts > 1;
+    return run;
+}
 
 /**
  * Per-worker adaptive batch sizing.  Host-local state only (a
@@ -85,14 +107,14 @@ class Coalescer
 {
   public:
     /**
-     * @param p           the knobs (SvcParams::batch);
+     * @param maxBatch    the ceiling on K (SvcParams::maxBatch);
      * @param verbSites   number of per-verb singleton sites already
      *                    allocated below the batch sites (the batch
      *                    site range starts at 1 + verbSites);
      * @param shards      store shard count (>= 1).
      */
-    Coalescer(const BatchParams &p, TxSiteId verbSites, unsigned shards)
-        : p_(p), base_(1 + verbSites), shards_(shards)
+    Coalescer(unsigned maxBatch, TxSiteId verbSites, unsigned shards)
+        : maxBatch_(maxBatch), base_(1 + verbSites), shards_(shards)
     {
     }
 
@@ -126,36 +148,26 @@ class Coalescer
     k(TxSiteId site) const
     {
         const auto it = k_.find(site);
-        return it == k_.end() ? clamp(p_.initialK) : it->second;
-    }
-
-    /** Clean (first-attempt) commit: additive growth, gated by path. */
-    void
-    onCleanCommit(TxSiteId site, bool softwarePath)
-    {
-        if (softwarePath && !p_.growOnSwCommit)
-            return;
-        unsigned &k = slot(site);
-        if (k < clamp(p_.maxBatch))
-            ++k;
+        return it == k_.end() ? 1 : it->second;
     }
 
     /**
-     * The batch aborted at least once; @p reason is the first abort's
-     * hardware reason (AbortReason::None for a software-path kill).
-     * Conflict- and capacity-class reasons halve K; environmental
-     * reasons leave it alone.
+     * Adapt a batch site's K to one batch transaction: +1 on a clean
+     * (first-attempt) commit, on either path; halved when the first
+     * abort was a software kill or a conflict- or capacity-class
+     * hardware abort; unchanged by environmental aborts.
      */
     void
-    onBatchAbort(TxSiteId site, AbortReason reason, bool softwareKill)
+    adapt(TxSiteId site, const BatchRun &run)
     {
-        if (!softwareKill && !shrinks(reason))
-            return;
         unsigned &k = slot(site);
-        k = k > 1 ? k / 2 : 1;
+        if (!run.dirty) {
+            if (k < maxBatch_)
+                ++k;
+        } else if (run.firstSw || shrinks(run.firstReason)) {
+            k = k > 1 ? k / 2 : 1;
+        }
     }
-
-    const BatchParams &params() const { return p_; }
 
   private:
     static bool
@@ -175,23 +187,13 @@ class Coalescer
         }
     }
 
-    unsigned
-    clamp(unsigned k) const
-    {
-        if (k < 1)
-            return 1;
-        return k > p_.maxBatch ? p_.maxBatch : k;
-    }
-
     unsigned &
     slot(TxSiteId site)
     {
-        auto [it, fresh] = k_.try_emplace(site, clamp(p_.initialK));
-        (void)fresh;
-        return it->second;
+        return k_.try_emplace(site, 1u).first->second;
     }
 
-    BatchParams p_;
+    unsigned maxBatch_;
     TxSiteId base_;
     unsigned shards_;
     std::map<TxSiteId, unsigned> k_; ///< site -> current K.

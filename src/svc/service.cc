@@ -60,46 +60,6 @@ KvServiceWorkload::participants(const Request &r) const
     }
 }
 
-/**
- * Per-request attempt accounting.  The transaction body re-executes
- * once per abort (and once more after a hardware→software failover),
- * so counting body entries per path — host-local, exactly the
- * re-execution-tolerant pattern the TxSystem contract allows — yields
- * the request's own abort count without touching global counters.
- */
-struct KvServiceWorkload::Attempts
-{
-    std::uint64_t hw = 0; ///< Hardware (or raw) body executions.
-    std::uint64_t sw = 0; ///< Software body executions.
-    bool finalSw = false; ///< Path of the latest (committed) attempt.
-
-    void
-    note(TxHandle &h)
-    {
-        if (h.path() == TxHandle::Path::Software) {
-            ++sw;
-            finalSw = true;
-        } else {
-            ++hw;
-            finalSw = false;
-        }
-    }
-
-    /** Hardware attempts that aborted (incl. those that failed over). */
-    std::uint64_t
-    hwAborts() const
-    {
-        return hw - (hw && !finalSw ? 1 : 0);
-    }
-
-    /** Software attempts that aborted and re-ran. */
-    std::uint64_t
-    swAborts() const
-    {
-        return sw - (sw && finalSw ? 1 : 0);
-    }
-};
-
 TxSiteId
 KvServiceWorkload::txSite(const Request &r) const
 {
@@ -112,102 +72,136 @@ KvServiceWorkload::txSite(const Request &r) const
     return site;
 }
 
-void
-KvServiceWorkload::serve(ThreadContext &tc, TxSystem &sys,
-                         const Request &r, Attempts *att)
+/** One admitted request; a request served alone is a batch of one. */
+struct KvServiceWorkload::BatchMember
 {
-    const TxSiteId site = txSite(r);
+    const Request *req;       ///< Stream entry (owned by streams_).
+    Cycles start;             ///< Admission time (latency origin).
+    std::uint64_t debtHw = 0; ///< Hardware aborts attributed so far.
+    std::uint64_t debtSw = 0; ///< Software aborts attributed so far.
+};
+
+void
+KvServiceWorkload::applyMember(TxHandle &h, const Request &r)
+{
+    bool hit = true;
+    std::uint64_t v = 0;
     switch (r.type) {
       case ReqType::Get:
-        sys.atomic(tc, site, [&](TxHandle &h) {
-            att->note(h);
-            std::uint64_t v = 0;
-            const bool hit = store_->get(h, r.key, &v);
-            utm_assert(hit);
-        });
+        hit = store_->get(h, r.key, &v);
         break;
       case ReqType::Put:
-        sys.atomic(tc, site, [&](TxHandle &h) {
-            att->note(h);
-            const bool hit = store_->put(h, r.key, r.value);
-            utm_assert(hit);
-        });
+        hit = store_->put(h, r.key, r.value);
         break;
       case ReqType::Scan:
-        sys.atomic(tc, site, [&](TxHandle &h) {
-            att->note(h);
-            store_->scan(h, r.key, p_.load.scanLen);
-        });
+        store_->scan(h, r.key, p_.load.scanLen);
         break;
       case ReqType::Rmw:
-        sys.atomic(tc, site, [&](TxHandle &h) {
-            att->note(h);
-            const bool hit = store_->rmw(h, r.key, r.value);
-            utm_assert(hit);
-        });
+        hit = store_->rmw(h, r.key, r.value);
         break;
       case ReqType::Xfer:
         // The multi-shard RMW: moves `value` from key to key2 in one
         // transaction, acquiring shards in canonical order
         // (sharded_store.cc).
-        sys.atomic(tc, site, [&](TxHandle &h) {
-            att->note(h);
-            const bool hit = store_->xfer(h, r.key, r.key2, r.value);
-            utm_assert(hit);
-        });
+        hit = store_->xfer(h, r.key, r.key2, r.value);
         break;
-      case ReqType::RawGet: {
-        // Outside any transaction, on purpose: the strong-atomicity
-        // probe.  The walk is structurally safe (fixed key set); the
-        // value is meaningful only on strongly-atomic backends.
-        std::uint64_t v = 0;
-        const bool hit = store_->rawGet(tc, r.key, &v);
-        utm_assert(hit);
-        break;
-      }
+      case ReqType::RawGet:
+        utm_panic("raw GET inside a transaction");
     }
+    utm_assert(hit);
+}
+
+BatchRun
+KvServiceWorkload::runTx(ThreadContext &tc, TxSystem &sys, TxSiteId site,
+                         BatchMember *members, unsigned plan)
+{
+    // Each aborted attempt is charged to every request it served, so
+    // every request keeps its own abort count without touching global
+    // counters.
+    return runBatch(
+        tc, sys, site, plan,
+        [&](TxHandle &h, unsigned n) {
+            for (unsigned m = 0; m < n; ++m)
+                applyMember(h, *members[m].req);
+        },
+        [&](unsigned n, bool sw) {
+            for (unsigned m = 0; m < n; ++m)
+                ++(sw ? members[m].debtSw : members[m].debtHw);
+        });
+}
+
+void
+KvServiceWorkload::serve(ThreadContext &tc, TxSystem &sys, BatchMember &m)
+{
+    const Request &r = *m.req;
+    if (r.type != ReqType::RawGet) {
+        runTx(tc, sys, txSite(r), &m, 1);
+        return;
+    }
+    // Outside any transaction, on purpose: the strong-atomicity probe.
+    // The walk is structurally safe (fixed key set); the value is
+    // meaningful only on strongly-atomic backends.
+    std::uint64_t v = 0;
+    const bool hit = store_->rawGet(tc, r.key, &v);
+    utm_assert(hit);
 }
 
 std::uint64_t
-KvServiceWorkload::backlogDepth(const std::vector<Request> &stream,
-                                std::size_t from, Cycles now,
-                                bool sharded, unsigned home) const
+KvServiceWorkload::observeDepth(ThreadContext &tc,
+                                const std::vector<Request> &stream,
+                                std::size_t from, bool sharded,
+                                unsigned home)
 {
     std::uint64_t depth = 0;
     for (std::size_t j = from;
-         j < stream.size() && stream[j].arrival <= now; ++j)
+         j < stream.size() && stream[j].arrival <= tc.now(); ++j)
         if (!sharded || homeShard(stream[j]) == home)
             ++depth;
-    return depth;
-}
-
-void
-KvServiceWorkload::observeDrainDepth(ThreadContext &tc,
-                                     const std::vector<Request> &stream,
-                                     std::size_t next, bool sharded,
-                                     unsigned home)
-{
-    if (!p_.load.openLoop)
-        return;
     StatsRegistry &st = tc.stats();
-    const std::uint64_t depth =
-        backlogDepth(stream, next, tc.now(), sharded, home);
     st.observe("svc.queue_depth", depth);
     if (sharded)
         st.observe(shardDepthName_[home], depth);
+    return depth;
 }
 
-void
-KvServiceWorkload::shedOne(ThreadContext &tc, const Request &r,
-                           bool sharded, unsigned home)
+bool
+KvServiceWorkload::admit(ThreadContext &tc,
+                         const std::vector<Request> &stream, std::size_t i,
+                         bool sharded, unsigned home,
+                         std::vector<BatchMember> *members)
 {
-    StatsRegistry &st = tc.stats();
-    st.inc("svc.shed");
-    st.inc(std::string("svc.shed.") + reqTypeName(r.type));
-    if (sharded) {
-        st.inc("shard.shed");
-        st.inc(shardShedName_[home]);
+    const Request &r = stream[i];
+    if (!p_.load.openLoop) {
+        tc.advance(r.think);
+        members->push_back({&r, tc.now()});
+        return true;
     }
+    // Wait for the request's arrival, in bounded slices so other
+    // clients keep interleaving deterministically.
+    while (tc.now() < r.arrival) {
+        tc.advance(std::min<Cycles>(r.arrival - tc.now(), 64));
+        tc.yield();
+    }
+    // Admission control over this client's backlog: every stream
+    // request already due but not yet completed.  When sharded, each
+    // client keeps one logical queue per home shard, so only backlog
+    // bound for the same shard counts.
+    StatsRegistry &st = tc.stats();
+    if (observeDepth(tc, stream, i, sharded, home) > p_.maxQueueDepth) {
+        st.inc("svc.shed");
+        st.inc(std::string("svc.shed.") + reqTypeName(r.type));
+        if (sharded) {
+            st.inc("shard.shed");
+            st.inc(shardShedName_[home]);
+        }
+        tc.advance(p_.shedCost);
+        return false;
+    }
+    if (tc.now() > r.arrival)
+        st.inc("svc.queued");
+    // Queueing delay counts toward latency.
+    members->push_back({&r, r.arrival});
+    return true;
 }
 
 void
@@ -249,105 +243,16 @@ KvServiceWorkload::finishRequest(ThreadContext &tc, const Request &r,
     }
 }
 
-void
-KvServiceWorkload::threadBody(ThreadContext &tc, TxSystem &sys, int tid,
-                              int nthreads)
-{
-    (void)nthreads;
-    if (p_.batch.enable) {
-        threadBodyBatched(tc, sys, tid);
-        return;
-    }
-    StatsRegistry &st = tc.stats();
-    const std::vector<Request> &stream = streams_.at(tid);
-
-    const bool sharded = p_.shards > 1;
-
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        const Request &r = stream[i];
-        const unsigned home = sharded ? homeShard(r) : 0;
-        Cycles start;
-        if (p_.load.openLoop) {
-            // Wait for the request's arrival, in bounded slices so
-            // other clients keep interleaving deterministically.
-            while (tc.now() < r.arrival) {
-                tc.advance(std::min<Cycles>(r.arrival - tc.now(), 64));
-                tc.yield();
-            }
-            // Admission control over this client's backlog: every
-            // stream request already due but not yet completed.  When
-            // sharded, each client keeps one logical queue per home
-            // shard, so only backlog bound for the same shard counts.
-            const std::uint64_t depth =
-                backlogDepth(stream, i, tc.now(), sharded, home);
-            st.observe("svc.queue_depth", depth);
-            if (sharded)
-                st.observe(shardDepthName_[home], depth);
-            if (depth > p_.maxQueueDepth) {
-                shedOne(tc, r, sharded, home);
-                tc.advance(p_.shedCost);
-                continue;
-            }
-            if (tc.now() > r.arrival)
-                st.inc("svc.queued");
-            start = r.arrival; // Queueing delay counts toward latency.
-        } else {
-            tc.advance(r.think);
-            start = tc.now();
-        }
-
-        Attempts att;
-        serve(tc, sys, r, &att);
-        finishRequest(tc, r, start, att.hwAborts(), att.swAborts(),
-                      sharded, home);
-        observeDrainDepth(tc, stream, i + 1, sharded, home);
-    }
-}
-
-/** One request inside a forming/executing batch. */
-struct KvServiceWorkload::BatchMember
-{
-    const Request *req;       ///< Stream entry (owned by streams_).
-    Cycles start;             ///< Admission time (latency origin).
-    std::uint64_t debtHw = 0; ///< Hardware aborts attributed so far.
-    std::uint64_t debtSw = 0; ///< Software aborts attributed so far.
-};
-
-void
-KvServiceWorkload::applyMember(TxHandle &h, const Request &r)
-{
-    switch (r.type) {
-      case ReqType::Get: {
-        std::uint64_t v = 0;
-        const bool hit = store_->get(h, r.key, &v);
-        utm_assert(hit);
-        break;
-      }
-      case ReqType::Put: {
-        const bool hit = store_->put(h, r.key, r.value);
-        utm_assert(hit);
-        break;
-      }
-      case ReqType::Scan:
-        store_->scan(h, r.key, p_.load.scanLen);
-        break;
-      case ReqType::Rmw: {
-        const bool hit = store_->rmw(h, r.key, r.value);
-        utm_assert(hit);
-        break;
-      }
-      default:
-        utm_panic("unbatchable verb inside a batch body");
-    }
-}
-
 /**
- * The coalesced serving loop.  Differences from threadBody():
+ * The serving loop.  Each request at the head of the client's stream
+ * is admitted (open-loop arrival wait and admission control, or
+ * closed-loop think time).  A request runs alone at its per-verb site
+ * when coalescing is off (SvcParams::maxBatch = 0) or its verb cannot
+ * batch (XFER, raw GET).  Otherwise:
  *
- *  - after admitting a batchable request (the head), up to K-1
- *    consecutive compatible requests — same verb class, same home
- *    shard, and (open loop) already due — are admitted into the same
- *    batch, each through the standard admission accounting;
+ *  - up to K-1 consecutive compatible requests — same verb class,
+ *    same home shard, and (open loop) already due — join the head's
+ *    batch, each through the same admission;
  *  - the batch executes as ONE transaction at its (verb class, home
  *    shard) batch site.  The first attempt serves every member; any
  *    re-execution (the previous attempt aborted) serves only the
@@ -359,9 +264,10 @@ KvServiceWorkload::applyMember(TxHandle &h, const Request &r)
  *    exactly; latency keeps its arrival→completion definition.
  */
 void
-KvServiceWorkload::threadBodyBatched(ThreadContext &tc, TxSystem &sys,
-                                     int tid)
+KvServiceWorkload::threadBody(ThreadContext &tc, TxSystem &sys, int tid,
+                              int nthreads)
 {
+    (void)nthreads;
     StatsRegistry &st = tc.stats();
     const std::vector<Request> &stream = streams_.at(tid);
     const bool sharded = p_.shards > 1;
@@ -372,91 +278,40 @@ KvServiceWorkload::threadBodyBatched(ThreadContext &tc, TxSystem &sys,
     // routing bucket when siteByKeyRange is set, else one block).
     const TxSiteId verb_sites =
         kNumReqTypes * (p_.siteByKeyRange ? p_.shards : 1);
-    Coalescer co(p_.batch, verb_sites, p_.shards);
+    Coalescer co(p_.maxBatch, verb_sites, p_.shards);
 
+    std::vector<BatchMember> members;
     std::size_t i = 0;
     while (i < stream.size()) {
         const Request &head = stream[i];
         const unsigned home = sharded ? homeShard(head) : 0;
+        members.clear();
+        if (!admit(tc, stream, i++, sharded, home, &members))
+            continue;
 
-        // Head admission: identical to the unbatched path.
-        Cycles start;
-        if (p_.load.openLoop) {
-            while (tc.now() < head.arrival) {
-                tc.advance(std::min<Cycles>(head.arrival - tc.now(), 64));
-                tc.yield();
-            }
-            const std::uint64_t depth =
-                backlogDepth(stream, i, tc.now(), sharded, home);
-            st.observe("svc.queue_depth", depth);
-            if (sharded)
-                st.observe(shardDepthName_[home], depth);
-            if (depth > p_.maxQueueDepth) {
-                shedOne(tc, head, sharded, home);
-                tc.advance(p_.shedCost);
-                ++i;
-                continue;
-            }
-            if (tc.now() > head.arrival)
-                st.inc("svc.queued");
-            start = head.arrival;
-        } else {
-            tc.advance(head.think);
-            start = tc.now();
-        }
-
-        const int vc = Coalescer::verbClassOf(head.type);
+        const int vc =
+            p_.maxBatch ? Coalescer::verbClassOf(head.type) : -1;
         if (vc < 0) {
-            // Unbatchable verb (Xfer, RawGet): the single-request path.
-            Attempts att;
-            serve(tc, sys, head, &att);
-            finishRequest(tc, head, start, att.hwAborts(),
-                          att.swAborts(), sharded, home);
-            ++i;
-            observeDrainDepth(tc, stream, i, sharded, home);
+            BatchMember &m = members.front();
+            serve(tc, sys, m);
+            finishRequest(tc, head, m.start, m.debtHw, m.debtSw, sharded,
+                          home);
+            if (p_.load.openLoop)
+                observeDepth(tc, stream, i, sharded, home);
             continue;
         }
 
+        // Form the batch.  An open-loop candidate that has not arrived
+        // yet closes it: coalescing never waits.
         const TxSiteId bsite = co.site(vc, home);
         const unsigned k_now = co.k(bsite);
-
-        // Form the batch: the head plus consecutive compatible
-        // requests, each admitted exactly as the unbatched path
-        // would admit it.  An open-loop candidate that has not
-        // arrived yet closes the batch (coalescing never waits).
-        std::vector<BatchMember> members;
-        members.push_back({&head, start, 0, 0});
-        std::size_t j = i + 1;
-        while (members.size() < k_now && j < stream.size()) {
-            const Request &cand = stream[j];
-            if (Coalescer::verbClassOf(cand.type) != vc)
+        while (members.size() < k_now && i < stream.size()) {
+            const Request &cand = stream[i];
+            if (Coalescer::verbClassOf(cand.type) != vc ||
+                (sharded && homeShard(cand) != home) ||
+                (p_.load.openLoop && cand.arrival > tc.now()))
                 break;
-            if (sharded && homeShard(cand) != home)
-                break;
-            Cycles mstart;
-            if (p_.load.openLoop) {
-                if (cand.arrival > tc.now())
-                    break;
-                const std::uint64_t depth =
-                    backlogDepth(stream, j, tc.now(), sharded, home);
-                st.observe("svc.queue_depth", depth);
-                if (sharded)
-                    st.observe(shardDepthName_[home], depth);
-                if (depth > p_.maxQueueDepth) {
-                    shedOne(tc, cand, sharded, home);
-                    tc.advance(p_.shedCost);
-                    ++j;
-                    continue;
-                }
-                if (tc.now() > cand.arrival)
-                    st.inc("svc.queued");
-                mstart = cand.arrival;
-            } else {
-                tc.advance(cand.think);
-                mstart = tc.now();
-            }
-            members.push_back({&cand, mstart, 0, 0});
-            ++j;
+            admit(tc, stream, i++, sharded, home, &members);
         }
 
         // Execute, splitting on abort: each loop iteration is one
@@ -467,59 +322,20 @@ KvServiceWorkload::threadBodyBatched(ThreadContext &tc, TxSystem &sys,
                 members.size() - done, co.k(bsite)));
             st.inc("batch.batches");
             st.observe("batch.k", plan);
-
-            unsigned attempts = 0;       // Body entries so far.
-            unsigned served_count = plan; // Members the last attempt ran.
-            bool prev_sw = false;        // Path of the last attempt.
-            bool dirty = false;          // Any abort absorbed?
-            bool first_sw_kill = false;
-            AbortReason first_reason = AbortReason::None;
-            Attempts att;
-            sys.atomic(tc, bsite, [&](TxHandle &h) {
-                att.note(h);
-                if (attempts > 0) {
-                    // Re-execution: the previous attempt aborted.
-                    // Attribute that abort to every member it served.
-                    const unsigned prev_served =
-                        attempts == 1 ? plan : 1;
-                    for (unsigned m = 0; m < prev_served; ++m) {
-                        BatchMember &bm = members[done + m];
-                        if (prev_sw)
-                            ++bm.debtSw;
-                        else
-                            ++bm.debtHw;
-                    }
-                    if (!dirty) {
-                        dirty = true;
-                        first_sw_kill = prev_sw;
-                        first_reason = prev_sw
-                                           ? AbortReason::None
-                                           : sys.lastHwAbortReason(tc);
-                    }
-                }
-                ++attempts;
-                prev_sw = h.path() == TxHandle::Path::Software;
-                // Split on abort: re-executions serve only the first
-                // pending member; the rest re-batch afterwards.
-                served_count = attempts == 1 ? plan : 1;
-                for (unsigned m = 0; m < served_count; ++m)
-                    applyMember(h, *members[done + m].req);
-            });
-
-            if (!dirty) {
+            const BatchRun run =
+                runTx(tc, sys, bsite, &members[done], plan);
+            co.adapt(bsite, run);
+            if (!run.dirty) {
                 st.inc("batch.commits");
-                co.onCleanCommit(bsite, att.finalSw);
             } else {
                 st.inc("batch.aborts");
                 st.inc(std::string("batch.aborts.") +
-                       (first_sw_kill ? "sw"
-                                      : abortReasonName(first_reason)));
+                       (run.firstSw ? "sw"
+                                    : abortReasonName(run.firstReason)));
                 if (plan > 1)
                     st.inc("batch.splits");
-                co.onBatchAbort(bsite, first_reason, first_sw_kill);
             }
-
-            for (unsigned m = 0; m < served_count; ++m) {
+            for (unsigned m = 0; m < run.served; ++m) {
                 const BatchMember &bm = members[done + m];
                 st.inc("batch.members");
                 st.inc(std::string("batch.members.") +
@@ -527,11 +343,10 @@ KvServiceWorkload::threadBodyBatched(ThreadContext &tc, TxSystem &sys,
                 finishRequest(tc, *bm.req, bm.start, bm.debtHw,
                               bm.debtSw, sharded, home);
             }
-            done += served_count;
+            done += run.served;
         }
-
-        i = j;
-        observeDrainDepth(tc, stream, i, sharded, home);
+        if (p_.load.openLoop)
+            observeDepth(tc, stream, i, sharded, home);
     }
 }
 

@@ -20,7 +20,7 @@
  *    (`svc.request_aborts[.hw|.sw]`, `svc.aborts_per_request`);
  *  - open-loop admission-queue depth (`svc.queue_depth`, observed
  *    at both the admission and drain edges);
- *  - with batching enabled (`SvcParams::batch`), coalescing
+ *  - with coalescing on (`SvcParams::maxBatch` > 0), its
  *    outcomes: batches formed, members per batch and per verb,
  *    splits, and batch-abort attribution (`batch.batches`,
  *    `batch.members[.<type>]`, `batch.commits`,
@@ -88,13 +88,14 @@ struct SvcParams
     bool siteByKeyRange = false;
 
     /**
-     * Request coalescing (svc/coalescer.hh): drain up to K
-     * consecutive compatible requests into one transaction, K
-     * adaptive per (verb class, home shard) batch site.  Default off;
-     * the disabled serving path is byte-identical to the unbatched
-     * baseline.
+     * Request coalescing (svc/coalescer.hh): the ceiling on K, the
+     * number of consecutive compatible requests drained into one
+     * transaction, K adaptive per (verb class, home shard) batch
+     * site.  0 (the default) turns coalescing off: the serving loop
+     * is the same, and every request runs alone at its per-verb
+     * site, as an unbatchable verb (XFER, raw GET) always does.
      */
-    BatchParams batch;
+    unsigned maxBatch = 0;
 };
 
 /** The request-serving workload; one simulated thread per client. */
@@ -113,17 +114,26 @@ class KvServiceWorkload final : public Workload
     const SvcParams &params() const { return p_; }
 
   private:
-    struct Attempts;
     struct BatchMember;
 
-    void serve(ThreadContext &tc, TxSystem &sys, const Request &r,
-               Attempts *att);
+    /** Admission of stream[@p i]: waits for its arrival (open loop)
+     *  or spends its think time (closed loop), then sheds it or
+     *  appends it to @p members.  Returns whether it was admitted. */
+    bool admit(ThreadContext &tc, const std::vector<Request> &stream,
+               std::size_t i, bool sharded, unsigned home,
+               std::vector<BatchMember> *members);
 
-    /** The coalesced serving loop (SvcParams::batch.enable). */
-    void threadBodyBatched(ThreadContext &tc, TxSystem &sys, int tid);
+    /** Serve one request alone: raw GETs outside any transaction,
+     *  every other verb as one transaction at its per-verb site. */
+    void serve(ThreadContext &tc, TxSystem &sys, BatchMember &m);
 
-    /** Apply one batch member's store operation inside the batch
-     *  transaction (batchable verbs only). */
+    /** runBatch() over @p plan admitted requests at @p site, with
+     *  every abort charged to the requests the attempt served. */
+    BatchRun runTx(ThreadContext &tc, TxSystem &sys, TxSiteId site,
+                   BatchMember *members, unsigned plan);
+
+    /** Apply one request's store operation inside its transaction
+     *  (every verb but raw GET). */
     void applyMember(TxHandle &h, const Request &r);
 
     /** Completion accounting shared by the single and batched paths:
@@ -133,23 +143,14 @@ class KvServiceWorkload final : public Workload
                        std::uint64_t hwAborts, std::uint64_t swAborts,
                        bool sharded, unsigned home);
 
-    /** Shed accounting for one open-loop rejection. */
-    void shedOne(ThreadContext &tc, const Request &r, bool sharded,
-                 unsigned home);
-
-    /** This client's backlog: stream entries from @p from (inclusive)
-     *  that are already due at @p now, filtered to @p home's logical
-     *  queue when sharded. */
-    std::uint64_t backlogDepth(const std::vector<Request> &stream,
-                               std::size_t from, Cycles now, bool sharded,
-                               unsigned home) const;
-
-    /** Drain-edge queue-depth observation (open loop): the backlog
-     *  left behind after a completed serve, so the depth histograms
-     *  capture both edges, not just admission. */
-    void observeDrainDepth(ThreadContext &tc,
-                           const std::vector<Request> &stream,
-                           std::size_t next, bool sharded, unsigned home);
+    /** Observe and return this client's backlog: stream entries from
+     *  @p from (inclusive) that are already due, filtered to @p home's
+     *  logical queue when sharded.  Observed at admission, and after
+     *  each serve, so the depth histograms capture both edges. */
+    std::uint64_t observeDepth(ThreadContext &tc,
+                               const std::vector<Request> &stream,
+                               std::size_t from, bool sharded,
+                               unsigned home);
 
     /** Home shard of a request (shard of its primary key). */
     unsigned homeShard(const Request &r) const;

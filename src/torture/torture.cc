@@ -1,5 +1,6 @@
 #include "torture/torture.hh"
 
+#include <iterator>
 #include <memory>
 #include <set>
 #include <unordered_set>
@@ -39,6 +40,43 @@ workloadSeed(std::uint64_t seed, int tid)
 {
     return (seed + 1) * 0x9e3779b97f4a7c15ull + std::uint64_t(tid) * 0xbf58476d1ce4e5b9ull;
 }
+
+/**
+ * One op class of the kv workload.  Classes are listed in mix order:
+ * an op belongs to the first class whose bound exceeds its mix draw,
+ * and class c runs alone at transaction site c + 1, so the predictor
+ * keys on it and every class has a stable site id across runs.
+ */
+struct KvOpClass
+{
+    int below;         ///< Upper bound (exclusive) of the mix draw.
+    svc::ReqType verb; ///< The store operation.
+    bool software;     ///< Forced onto the software path; never batched.
+    bool onKey2;       ///< Works on the second key draw.
+};
+
+/** Unsharded mix.  The forced-software RMW against key2 stresses
+ *  mixed hardware/software raw-read windows. */
+constexpr KvOpClass kKvOps[] = {
+    {45, svc::ReqType::Get, false, false},
+    {65, svc::ReqType::Put, false, false},
+    {80, svc::ReqType::Rmw, false, false},
+    {90, svc::ReqType::Scan, false, false},
+    {100, svc::ReqType::Rmw, true, true},
+};
+
+/** Sharded mix: the same single-key ops plus two-key transfers, which
+ *  become multi-shard commits when the keys hash to different shards.
+ *  The forced-software transfer drains shard otables in canonical
+ *  order on the software path too. */
+constexpr KvOpClass kShardedKvOps[] = {
+    {45, svc::ReqType::Get, false, false},
+    {60, svc::ReqType::Put, false, false},
+    {72, svc::ReqType::Rmw, false, false},
+    {82, svc::ReqType::Scan, false, false},
+    {92, svc::ReqType::Xfer, false, false},
+    {100, svc::ReqType::Xfer, true, false},
+};
 
 /**
  * Strong atomicity against the sequential shadow.  Watches one 8-byte
@@ -328,120 +366,103 @@ runTortureImpl(const TortureConfig &cfg, CrashHarvest *harvest)
             std::make_unique<ReplayScheduler>(*cfg.replay));
     m.recordSchedule(cfg.record || cfg.replay);
 
-    // Batched kv variant (cfg.kvBatch): the tmserve coalescer under
-    // adversarial schedules.  Ops are pre-drawn (the batcher looks
-    // ahead, so draws cannot interleave with execution as in the
-    // unbatched loop), then consecutive batchable single-key ops with
-    // the same verb class and home shard run inside one transaction,
-    // with split-on-abort re-execution and adaptive K — every oracle
-    // still armed, shadow publication still per-member in op order.
-    for (int t = 0; t < threads && kv && cfg.kvBatch; ++t) {
+    // The kv fiber: the tmserve store under adversarial schedules.
+    // Ops are pre-drawn, since the coalescer looks ahead.  With
+    // cfg.kvBatch, consecutive batchable ops (same verb class and home
+    // shard) run inside one transaction at their batch site, with
+    // split-on-abort re-execution and adaptive K (svc::Coalescer);
+    // every other op — all of them with cfg.kvBatch off — runs alone
+    // at its op-class site.  Every oracle stays armed, and shadow
+    // publication stays per op, in commit order.
+    for (int t = 0; t < threads && kv; ++t) {
         m.addThread([&, t](ThreadContext &tc) {
-            Rng rng(workloadSeed(cfg.seed, t));
-            const Zipfian zipf(cfg.kvKeyspace, cfg.kvTheta);
             const bool sharded = cfg.kvShards > 1;
+            const KvOpClass *const classes =
+                sharded ? kShardedKvOps : kKvOps;
 
             struct KvOp
             {
-                int mix;
+                const KvOpClass *cls; ///< nullptr: a raw GET.
                 std::uint64_t key, key2, fresh, delta;
-                Cycles adv; ///< Post-op advance (pre-drawn).
+                Cycles adv; ///< Advance after the op.
             };
-            std::vector<KvOp> ops;
-            ops.reserve(std::size_t(cfg.opsPerThread));
-            for (int op = 0; op < cfg.opsPerThread; ++op) {
-                KvOp o;
-                o.mix = int(rng.nextBounded(100));
+            // Draw every parameter BEFORE atomic(): the body is
+            // re-executed on abort and must behave identically.
+            Rng rng(workloadSeed(cfg.seed, t));
+            const Zipfian zipf(cfg.kvKeyspace, cfg.kvTheta);
+            std::vector<KvOp> ops(std::size_t(cfg.opsPerThread));
+            for (KvOp &o : ops) {
+                const int mix = int(rng.nextBounded(100));
                 o.key = 1 + zipf.sample(rng);
                 o.key2 = 1 + zipf.sample(rng);
                 o.fresh = rng.next() | 1;
                 o.delta = rng.nextBounded(1000);
-                o.adv = o.mix < cfg.kvRawPct
-                            ? 5 + rng.nextBounded(20)
-                            : 10 + rng.nextBounded(40);
-                ops.push_back(o);
+                o.cls = nullptr;
+                if (mix < cfg.kvRawPct) {
+                    o.adv = 5 + rng.nextBounded(20);
+                    continue;
+                }
+                o.adv = 10 + rng.nextBounded(40);
+                o.cls = classes;
+                while (mix >= o.cls->below)
+                    ++o.cls;
             }
-
-            // Batchable verb class (same single-key thresholds as the
-            // unbatched mix): 0 = read-only GET/SCAN, 1 = update
-            // PUT/RMW, -1 = unbatchable (forced-software op, xfer).
-            const auto classOf = [sharded](const KvOp &o) -> int {
-                if (o.mix < 45)
-                    return 0; // get
-                if (o.mix < (sharded ? 60 : 65))
-                    return 1; // put
-                if (o.mix < (sharded ? 72 : 80))
-                    return 1; // rmw
-                if (o.mix < (sharded ? 82 : 90))
-                    return 0; // scan
-                return -1;
+            // Batchable verb class of an op, or -1 (raw GET,
+            // forced-software op, transfer).
+            const auto batchClass = [](const KvOp &o) {
+                return o.cls && !o.cls->software
+                           ? svc::Coalescer::verbClassOf(o.cls->verb)
+                           : -1;
             };
 
             auto &mine = pending[t];
-            // One batch member's store op + shadow-pending writes.
+            // One op's store operation and shadow-pending writes.
             const auto applyOp = [&](TxHandle &h, const KvOp &o) {
-                const int idx = int(o.key) - 1;
-                if (o.mix < 45) {
-                    std::uint64_t v = 0;
-                    (void)store->get(h, o.key, &v);
-                } else if (o.mix < (sharded ? 60 : 65)) {
-                    store->put(h, o.key, o.fresh);
-                    mine.emplace_back(idx, o.fresh);
-                } else if (o.mix < (sharded ? 72 : 80)) {
-                    std::uint64_t nv = 0;
-                    if (store->rmw(h, o.key, o.delta, &nv))
-                        mine.emplace_back(idx, nv);
-                } else {
-                    store->scan(h, o.key, 4);
+                if (o.cls->software)
+                    h.requireSoftware();
+                const std::uint64_t key = o.cls->onKey2 ? o.key2 : o.key;
+                std::uint64_t nv = 0, nt = 0;
+                switch (o.cls->verb) {
+                  case svc::ReqType::Get:
+                    (void)store->get(h, key, &nv);
+                    break;
+                  case svc::ReqType::Put:
+                    store->put(h, key, o.fresh);
+                    mine.emplace_back(int(key) - 1, o.fresh);
+                    break;
+                  case svc::ReqType::Rmw:
+                    if (store->rmw(h, key, o.delta, &nv))
+                        mine.emplace_back(int(key) - 1, nv);
+                    break;
+                  case svc::ReqType::Scan:
+                    store->scan(h, key, 4);
+                    break;
+                  default: {
+                    // xkey differs from key so xfer's canonical
+                    // (shard, key) acquisition order is well-defined.
+                    const std::uint64_t xkey =
+                        o.key2 == key ? 1 + key % cfg.kvKeyspace : o.key2;
+                    if (store->xfer(h, key, xkey, o.delta, &nv, &nt)) {
+                        mine.emplace_back(int(key) - 1, nv);
+                        mine.emplace_back(int(xkey) - 1, nt);
+                    }
+                  }
                 }
             };
 
-            // Unbatchable tail ops keep their unbatched form and
-            // per-op-class sites (5 = forced-sw rmw / xfer, 6 =
-            // forced-sw xfer when sharded).
-            const auto runSingle = [&](ThreadContext &tcx,
-                                       const KvOp &o) {
-                if (!sharded) {
-                    sys->atomic(tcx, TxSiteId(5), [&](TxHandle &h) {
-                        mine.clear();
-                        h.requireSoftware();
-                        std::uint64_t nv = 0;
-                        if (store->rmw(h, o.key2, o.delta, &nv))
-                            mine.emplace_back(int(o.key2) - 1, nv);
-                    });
-                    return;
-                }
-                const std::uint64_t xkey =
-                    o.key2 == o.key ? 1 + o.key % cfg.kvKeyspace
-                                    : o.key2;
-                sys->atomic(
-                    tcx, o.mix < 92 ? TxSiteId(5) : TxSiteId(6),
-                    [&](TxHandle &h) {
-                        mine.clear();
-                        if (o.mix >= 92)
-                            h.requireSoftware();
-                        std::uint64_t nf = 0, nt = 0;
-                        if (store->xfer(h, o.key, xkey, o.delta, &nf,
-                                        &nt)) {
-                            mine.emplace_back(int(o.key) - 1, nf);
-                            mine.emplace_back(int(xkey) - 1, nt);
-                        }
-                    });
-            };
-
-            // Batch sites live above the per-op-class sites 1..5/6.
-            svc::BatchParams bp;
-            bp.enable = true;
-            bp.maxBatch = cfg.kvBatchMax;
-            bp.growOnSwCommit = true; // Torture every growth path.
-            svc::Coalescer co(bp, sharded ? TxSiteId(6) : TxSiteId(5),
+            // Batch sites live above the op-class sites.
+            svc::Coalescer co(TortureConfig::kvBatchMax,
+                              TxSiteId(sharded ? std::size(kShardedKvOps)
+                                               : std::size(kKvOps)),
                               cfg.kvShards);
 
             std::size_t i = 0;
             while (i < ops.size()) {
                 const KvOp &head = ops[i];
-                if (head.mix < cfg.kvRawPct) {
-                    // Raw GET: identical probe to the unbatched loop.
+                if (!head.cls) {
+                    // Raw (non-transactional) GET: the strong-atomicity
+                    // probe.  Every observed value must have been
+                    // committed for that key at some point.
                     std::uint64_t v = 0;
                     const bool hit = store->rawGet(tc, head.key, &v);
                     ++rawReads;
@@ -464,190 +485,45 @@ runTortureImpl(const TortureConfig &cfg, CrashHarvest *harvest)
                     ++i;
                     continue;
                 }
-                const int vc = classOf(head);
-                if (vc < 0) {
-                    runSingle(tc, head);
-                    tc.advance(head.adv);
-                    ++i;
-                    continue;
-                }
-                const unsigned home =
-                    sharded ? store->shardOf(head.key) : 0;
-                const TxSiteId bsite = co.site(vc, home);
 
                 // Form the batch: consecutive batchable ops of the
-                // same class and home shard (raw GETs close it).
+                // same class and home shard (raw GETs close it).  An
+                // op that cannot batch is a batch of one at its
+                // op-class site.
+                const int vc = cfg.kvBatch ? batchClass(head) : -1;
+                const bool batch = vc >= 0;
+                const unsigned home =
+                    sharded ? store->shardOf(head.key) : 0;
+                const TxSiteId site =
+                    batch ? co.site(vc, home)
+                          : TxSiteId(1 + (head.cls - classes));
                 std::size_t j = i + 1;
-                while (j - i < co.k(bsite) && j < ops.size()) {
+                while (batch && j - i < co.k(site) && j < ops.size()) {
                     const KvOp &cand = ops[j];
-                    if (cand.mix < cfg.kvRawPct || classOf(cand) != vc)
-                        break;
-                    if (sharded && store->shardOf(cand.key) != home)
+                    if (batchClass(cand) != vc ||
+                        (sharded && store->shardOf(cand.key) != home))
                         break;
                     ++j;
                 }
 
                 // Execute, splitting on abort: re-executions serve
-                // only the first pending member, the rest re-batch.
-                std::size_t done = i;
-                while (done < j) {
-                    const unsigned plan = unsigned(
-                        std::min<std::size_t>(j - done, co.k(bsite)));
-                    unsigned attempts = 0;
-                    unsigned served = plan;
-                    bool prev_sw = false, dirty = false;
-                    bool first_sw = false, final_sw = false;
-                    AbortReason first_reason = AbortReason::None;
-                    sys->atomic(tc, bsite, [&](TxHandle &h) {
-                        if (attempts > 0 && !dirty) {
-                            dirty = true;
-                            first_sw = prev_sw;
-                            first_reason =
-                                prev_sw ? AbortReason::None
-                                        : sys->lastHwAbortReason(tc);
-                        }
-                        ++attempts;
-                        prev_sw =
-                            h.path() == TxHandle::Path::Software;
-                        final_sw = prev_sw;
-                        served = attempts == 1 ? plan : 1;
-                        mine.clear(); // Idempotent across re-execution.
-                        for (unsigned b = 0; b < served; ++b)
-                            applyOp(h, ops[done + b]);
-                    });
-                    if (!dirty)
-                        co.onCleanCommit(bsite, final_sw);
-                    else
-                        co.onBatchAbort(bsite, first_reason, first_sw);
-                    for (unsigned b = 0; b < served; ++b)
-                        tc.advance(ops[done + b].adv);
-                    done += served;
+                // only the first pending op, the rest re-batch.
+                while (i < j) {
+                    const svc::BatchRun run = svc::runBatch(
+                        tc, *sys, site,
+                        unsigned(std::min<std::size_t>(j - i, co.k(site))),
+                        [&](TxHandle &h, unsigned n) {
+                            mine.clear(); // Idempotent across re-execution.
+                            for (unsigned b = 0; b < n; ++b)
+                                applyOp(h, ops[i + b]);
+                        },
+                        [](unsigned, bool) {});
+                    if (batch)
+                        co.adapt(site, run);
+                    for (unsigned b = 0; b < run.served; ++b)
+                        tc.advance(ops[i + b].adv);
+                    i += run.served;
                 }
-                i = j;
-            }
-        });
-    }
-
-    for (int t = 0; t < threads && kv && !cfg.kvBatch; ++t) {
-        m.addThread([&, t](ThreadContext &tc) {
-            Rng rng(workloadSeed(cfg.seed, t));
-            const Zipfian zipf(cfg.kvKeyspace, cfg.kvTheta);
-            for (int op = 0; op < cfg.opsPerThread; ++op) {
-                // Draw every parameter BEFORE atomic(): the body is
-                // re-executed on abort and must behave identically.
-                const int mix = int(rng.nextBounded(100));
-                const std::uint64_t key = 1 + zipf.sample(rng);
-                const std::uint64_t key2 = 1 + zipf.sample(rng);
-                const std::uint64_t fresh = rng.next() | 1;
-                const std::uint64_t delta = rng.nextBounded(1000);
-                const int idx = int(key) - 1;
-
-                if (mix < cfg.kvRawPct) {
-                    // Raw (non-transactional) GET: the strong-atomicity
-                    // probe.  Every observed value must have been
-                    // committed for that key at some point.
-                    std::uint64_t v = 0;
-                    const bool hit = store->rawGet(tc, key, &v);
-                    ++rawReads;
-                    if (checkRaw && rawFlag.empty()) {
-                        if (!hit)
-                            rawFlag = "raw GET missed key " +
-                                      std::to_string(key) +
-                                      " (fixed keyspace: chain "
-                                      "structure damaged)";
-                        else if (!history[idx].count(v))
-                            rawFlag =
-                                "raw GET of key " + std::to_string(key) +
-                                " returned " + std::to_string(v) +
-                                ", never committed for that key "
-                                "(speculative state leaked to a "
-                                "non-transactional read)";
-                    }
-                    tc.advance(5 + rng.nextBounded(20));
-                    continue;
-                }
-
-                // Per-op-class transaction site (mirrors the mix
-                // thresholds below): the predictor keys on it, and
-                // every class has a stable id across runs.
-                const TxSiteId site =
-                    cfg.kvShards <= 1
-                        ? (mix < 45   ? TxSiteId(1)
-                           : mix < 65 ? TxSiteId(2)
-                           : mix < 80 ? TxSiteId(3)
-                           : mix < 90 ? TxSiteId(4)
-                                      : TxSiteId(5))
-                        : (mix < 45   ? TxSiteId(1)
-                           : mix < 60 ? TxSiteId(2)
-                           : mix < 72 ? TxSiteId(3)
-                           : mix < 82 ? TxSiteId(4)
-                           : mix < 92 ? TxSiteId(5)
-                                      : TxSiteId(6));
-                auto &mine = pending[t];
-                sys->atomic(tc, site, [&](TxHandle &h) {
-                    mine.clear(); // Idempotent across re-execution.
-                    if (cfg.kvShards <= 1) {
-                        if (mix < 45) {
-                            std::uint64_t v = 0;
-                            (void)store->get(h, key, &v);
-                        } else if (mix < 65) {
-                            store->put(h, key, fresh);
-                            mine.emplace_back(idx, fresh);
-                        } else if (mix < 80) {
-                            std::uint64_t nv = 0;
-                            if (store->rmw(h, key, delta, &nv))
-                                mine.emplace_back(idx, nv);
-                        } else if (mix < 90) {
-                            store->scan(h, key, 4);
-                        } else {
-                            // Forced software path against key2:
-                            // stresses mixed hardware/software
-                            // raw-read windows.
-                            h.requireSoftware();
-                            std::uint64_t nv = 0;
-                            if (store->rmw(h, key2, delta, &nv))
-                                mine.emplace_back(int(key2) - 1, nv);
-                        }
-                        return;
-                    }
-                    // Sharded mix: same single-key ops plus two-key
-                    // transfers, which become multi-shard commits when
-                    // key and xkey hash to different shards.  xkey
-                    // differs from key so xfer's canonical (shard,
-                    // key) acquisition order is always well-defined.
-                    const std::uint64_t xkey =
-                        key2 == key ? 1 + key % cfg.kvKeyspace : key2;
-                    if (mix < 45) {
-                        std::uint64_t v = 0;
-                        (void)store->get(h, key, &v);
-                    } else if (mix < 60) {
-                        store->put(h, key, fresh);
-                        mine.emplace_back(idx, fresh);
-                    } else if (mix < 72) {
-                        std::uint64_t nv = 0;
-                        if (store->rmw(h, key, delta, &nv))
-                            mine.emplace_back(idx, nv);
-                    } else if (mix < 82) {
-                        store->scan(h, key, 4);
-                    } else if (mix < 92) {
-                        std::uint64_t nf = 0, nt = 0;
-                        if (store->xfer(h, key, xkey, delta, &nf, &nt)) {
-                            mine.emplace_back(idx, nf);
-                            mine.emplace_back(int(xkey) - 1, nt);
-                        }
-                    } else {
-                        // Forced-software cross-shard transfer: the
-                        // multi-shard commit drains shard otables in
-                        // canonical order on the software path too.
-                        h.requireSoftware();
-                        std::uint64_t nf = 0, nt = 0;
-                        if (store->xfer(h, key, xkey, delta, &nf, &nt)) {
-                            mine.emplace_back(idx, nf);
-                            mine.emplace_back(int(xkey) - 1, nt);
-                        }
-                    }
-                });
-                tc.advance(10 + rng.nextBounded(40));
             }
         });
     }

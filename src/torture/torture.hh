@@ -88,12 +88,14 @@ struct TortureConfig
      * PUT/RMW runs with the same verb class and home shard) into one
      * transaction via svc::Coalescer, the tmserve request-coalescing
      * machinery — multi-member footprints, split-on-abort
-     * re-execution, and adaptive K all under adversarial schedules,
-     * with every oracle still armed.  Raw GETs, forced-software ops,
-     * and transfers stay unbatched.
+     * re-execution, and adaptive K (ceiling kvBatchMax) all under
+     * adversarial schedules, with every oracle still armed.  The
+     * fiber is the same either way: raw GETs, forced-software ops,
+     * transfers — and, with this off, every op — run alone at their
+     * op-class site.
      */
     bool kvBatch = false;
-    unsigned kvBatchMax = 4; ///< Batch-size ceiling when kvBatch is set.
+    static constexpr unsigned kvBatchMax = 4; ///< Coalescer K ceiling.
     /** @} */
 
     /**

@@ -270,9 +270,7 @@ TEST(Service, BatchingServesEveryRequestWithCounterInvariants)
 {
     SvcParams p = smallParams();
     p.load.requestsPerClient = 30;
-    p.batch.enable = true;
-    p.batch.maxBatch = 4;
-    p.batch.growOnSwCommit = true;
+    p.maxBatch = 4;
     const RunResult res =
         svc::runService(p, runConfig(TxSystemKind::UfoHybrid, 4));
     ASSERT_TRUE(res.valid);
@@ -288,7 +286,7 @@ TEST(Service, BatchingServesEveryRequestWithCounterInvariants)
     EXPECT_EQ(res.stat("batch.commits") + res.stat("batch.aborts"),
               res.stat("batch.batches"));
     EXPECT_EQ(res.hist("batch.k").samples(), res.stat("batch.batches"));
-    EXPECT_LE(res.hist("batch.k").max(), p.batch.maxBatch);
+    EXPECT_LE(res.hist("batch.k").max(), p.maxBatch);
     EXPECT_GE(res.stat("batch.members"), res.stat("batch.batches"));
     std::uint64_t per_type = 0;
     for (const auto &[name, value] : res.stats)
@@ -311,9 +309,7 @@ TEST(Service, BatchingOnDoubleRunStatsJsonByteIdentical)
         for (SchedPolicy policy : kAllPolicies) {
             SvcParams p = smallParams();
             p.load.requestsPerClient = 8;
-            p.batch.enable = true;
-            p.batch.maxBatch = 4;
-            p.batch.growOnSwCommit = true;
+            p.maxBatch = 4;
             std::string text[2];
             for (int run = 0; run < 2; ++run) {
                 RunConfig cfg = runConfig(kind);

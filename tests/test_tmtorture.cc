@@ -7,6 +7,9 @@
  *  - double-run determinism: the same TortureConfig produces an
  *    identical result (cycles, steps, counters, schedule) twice, for
  *    every TxSystemKind;
+ *  - a pinned kv op stream: fixed steps, cycles, commits and raw
+ *    reads for one seed, with coalescing off and on, unsharded and
+ *    sharded;
  *  - record/replay bit-identity: replaying a recorded schedule
  *    reproduces the run exactly;
  *  - mutation self-test: breaking the Algorithm 2 otable<->UFO-bit
@@ -101,6 +104,48 @@ TEST(TmTorture, DoubleRunDeterminismEveryBackend)
         EXPECT_EQ(a.stats, b.stats) << txSystemKindName(kind);
         EXPECT_EQ(a.schedule.serialize(), b.schedule.serialize())
             << txSystemKindName(kind);
+    }
+}
+
+TEST(TmTorture, KvOpStreamPinned)
+{
+    // The kv workload's op stream, pinned: per-thread draws (mix, key,
+    // key2, fresh, delta, advance), op classes and sites, with
+    // coalescing off and on, unsharded and sharded.  Determinism
+    // alone cannot catch a change that reorders the draws; these
+    // figures can.
+    struct Pin
+    {
+        bool batch;
+        unsigned shards;
+        std::uint64_t steps;
+        Cycles cycles;
+        std::uint64_t commits;
+        std::uint64_t rawReads;
+    };
+    const Pin pins[] = {
+        {false, 1, 6081, 276159, 189, 51},
+        {true, 1, 6174, 147089, 174, 51},
+        {false, 4, 6182, 103656, 189, 51},
+        {true, 4, 6567, 215185, 184, 51},
+    };
+    for (const Pin &pin : pins) {
+        TortureConfig cfg;
+        cfg.kind = TxSystemKind::UfoHybrid;
+        cfg.workload = torture::TortureWorkload::Kv;
+        cfg.kvBatch = pin.batch;
+        cfg.kvShards = pin.shards;
+        cfg.seed = 5;
+        cfg.sched.policy = SchedPolicy::RandomWalk;
+        const TortureResult res = torture::runTorture(cfg);
+        const std::string what =
+            std::string(pin.batch ? "batch" : "single") + " x" +
+            std::to_string(pin.shards);
+        EXPECT_TRUE(res.ok()) << what << ": " << res.why;
+        EXPECT_EQ(res.steps, pin.steps) << what;
+        EXPECT_EQ(res.cycles, pin.cycles) << what;
+        EXPECT_EQ(res.commits, pin.commits) << what;
+        EXPECT_EQ(res.rawReads, pin.rawReads) << what;
     }
 }
 

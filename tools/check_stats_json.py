@@ -72,7 +72,7 @@ REASON_FAMILIES = {
     "svc.latency.": SVC_REQ_TYPES,
     # A dirty batch is counted once, keyed by its *first* abort's
     # hardware reason — or the "sw" pseudo-reason for a software-path
-    # kill (src/svc/service.cc, threadBodyBatched).
+    # kill (src/svc/service.cc, KvServiceWorkload::runTx).
     "batch.aborts.": ABORT_REASONS + ["sw"],
     "batch.members.": SVC_REQ_TYPES,
     # Per-shard redo-log families (src/mem/persist.cc, durable runs).

@@ -479,19 +479,88 @@ replayMode(const Options &opt)
     return 1;
 }
 
+/** Keep the first failing run's timeline (windowed counters,
+ *  conflict edges, watchdog) at --timeline-out. */
+void
+keepTimeline(const Options &opt, const std::string &timeline,
+             bool *written)
+{
+    if (*written || timeline.empty())
+        return;
+    if (stats::writeFile(opt.timelineOut, timeline + "\n")) {
+        *written = true;
+        std::fprintf(stderr, "  timeline -> %s\n", opt.timelineOut.c_str());
+    }
+}
+
+/** One torture run: its report entry, and for a failure the FAIL line,
+ *  the kept timeline and the minimized schedule.  True if it passed. */
+bool
+tortureRun(const Options &opt, const torture::TortureConfig &cfg,
+           json::Writer &w, bool *timelineWritten)
+{
+    const torture::TortureResult res = torture::runTorture(cfg);
+    if (res.ok()) {
+        writeRun(w, cfg, res, nullptr);
+        return true;
+    }
+    std::fprintf(stderr, "FAIL %s/%s/%s seed %llu: %s at step %llu: %s\n",
+                 torture::tortureWorkloadName(cfg.workload),
+                 txSystemKindName(cfg.kind),
+                 schedPolicyName(cfg.sched.policy),
+                 (unsigned long long)cfg.seed, res.oracle.c_str(),
+                 (unsigned long long)res.violationStep, res.why.c_str());
+    keepTimeline(opt, res.timeline, timelineWritten);
+    torture::MinimizeResult min =
+        torture::minimizeSchedule(cfg, res.schedule, res.oracle,
+                                  res.violationStep, opt.minimizeBudget);
+    std::fprintf(stderr, "  minimized %llu -> %llu steps (%d replays)\n",
+                 (unsigned long long)res.schedule.steps(),
+                 (unsigned long long)min.schedule.steps(), min.runs);
+    writeRun(w, cfg, res, &min);
+    return false;
+}
+
+/** One crash-recover-check cycle of torture::runCrashTorture: its
+ *  report entry, and for a failure the FAIL line, the schedule and the
+ *  kept timeline.  True if it passed. */
+bool
+crashRun(const Options &opt, const torture::TortureConfig &cfg,
+         json::Writer &w, bool *timelineWritten)
+{
+    const torture::CrashTortureResult res =
+        torture::runCrashTorture(cfg, opt.crashStep);
+    writeCrashRun(w, cfg, res);
+    if (res.ok)
+        return true;
+    std::fprintf(stderr, "FAIL %s/%s/%s seed %llu crash@%llu: %s\n",
+                 torture::tortureWorkloadName(cfg.workload),
+                 txSystemKindName(cfg.kind),
+                 schedPolicyName(cfg.sched.policy),
+                 (unsigned long long)cfg.seed,
+                 (unsigned long long)res.crashStep, res.why.c_str());
+    std::fprintf(stderr, "  schedule: %s\n",
+                 res.schedule.serialize().c_str());
+    keepTimeline(opt, res.timeline, timelineWritten);
+    return false;
+}
+
 /**
- * Crash-torture sweep: every (workload, durable backend, policy, seed)
- * runs the full crash-recover-check cycle of torture::runCrashTorture.
+ * The sweep: every (workload, backend, policy, seed) runs once and
+ * lands in one "ufotm-torture" report.  With --crash, each run is the
+ * full crash-recover-check cycle, and backends without durable
+ * commits are skipped.
  */
 int
-crashSweepMode(const Options &opt)
+sweepMode(const Options &opt)
 {
     json::Writer w;
     w.beginObject();
     w.kv("schema", "ufotm-torture");
     w.kv("schema_version", 1);
     w.key("config").beginObject();
-    w.kv("crash", true);
+    if (opt.crash)
+        w.kv("crash", true);
     w.kv("seeds", opt.seeds);
     w.kv("threads", opt.threads);
     w.kv("ops_per_thread", opt.ops);
@@ -499,61 +568,45 @@ crashSweepMode(const Options &opt)
     w.kv("kv_batch", opt.kvBatch);
     w.kv("otable_buckets", opt.otableBuckets);
     w.kv("oracle_interval", opt.oracleInterval);
-    w.kv("crash_step", opt.crashStep);
+    if (opt.crash) {
+        w.kv("crash_step", opt.crashStep);
+    } else {
+        w.kv("predictor", opt.predictor);
+        w.kv("inject_lockstep_bug", opt.injectLockstepBug);
+        w.kv("inject_release_starvation", opt.injectReleaseStarvation);
+        w.kv("inject_pct_bound_bug", opt.injectPctBoundBug);
+    }
     w.kv("timeline", opt.timeline);
     w.kv("watchdog", opt.watchdog);
     w.endObject();
     w.key("runs").beginArray();
 
+    const char *mode = opt.crash ? "crash " : "";
     int total = 0, failures = 0, skipped = 0;
     bool timelineWritten = false;
     for (torture::TortureWorkload workload : opt.workloads) {
         for (TxSystemKind kind : opt.backends) {
-            if (!txSystemKindDurable(kind)) {
-                std::fprintf(stderr,
-                             "skipping %s: no durable commits\n",
+            if (opt.crash && !txSystemKindDurable(kind)) {
+                std::fprintf(stderr, "skipping %s: no durable commits\n",
                              txSystemKindName(kind));
                 ++skipped;
                 continue;
             }
             for (SchedPolicy policy : opt.policies) {
                 for (int i = 0; i < opt.seeds; ++i) {
-                    const std::uint64_t s = opt.seed + std::uint64_t(i);
-                    torture::TortureConfig cfg =
-                        makeConfig(opt, workload, kind, policy, s);
-                    const torture::CrashTortureResult res =
-                        torture::runCrashTorture(cfg, opt.crashStep);
+                    const torture::TortureConfig cfg =
+                        makeConfig(opt, workload, kind, policy,
+                                   opt.seed + std::uint64_t(i));
                     ++total;
-                    writeCrashRun(w, cfg, res);
-                    if (res.ok)
-                        continue;
-                    ++failures;
-                    std::fprintf(
-                        stderr,
-                        "FAIL %s/%s/%s seed %llu crash@%llu: %s\n",
-                        torture::tortureWorkloadName(workload),
-                        txSystemKindName(kind),
-                        schedPolicyName(policy), (unsigned long long)s,
-                        (unsigned long long)res.crashStep,
-                        res.why.c_str());
-                    std::fprintf(stderr, "  schedule: %s\n",
-                                 res.schedule.serialize().c_str());
-                    if (!timelineWritten && !res.timeline.empty()) {
-                        if (stats::writeFile(opt.timelineOut,
-                                             res.timeline + "\n")) {
-                            timelineWritten = true;
-                            std::fprintf(stderr, "  timeline -> %s\n",
-                                         opt.timelineOut.c_str());
-                        }
-                    }
+                    if (!(opt.crash ? crashRun : tortureRun)(
+                            opt, cfg, w, &timelineWritten))
+                        ++failures;
                 }
             }
-            std::fprintf(
-                stderr,
-                "crash %s/%-13s done (%d policies x %d seeds)\n",
-                torture::tortureWorkloadName(workload),
-                txSystemKindName(kind), int(opt.policies.size()),
-                opt.seeds);
+            std::fprintf(stderr, "%s%s/%-13s done (%d policies x %d seeds)\n",
+                         mode, torture::tortureWorkloadName(workload),
+                         txSystemKindName(kind), int(opt.policies.size()),
+                         opt.seeds);
         }
     }
 
@@ -561,7 +614,8 @@ crashSweepMode(const Options &opt)
     w.key("summary").beginObject();
     w.kv("runs", total);
     w.kv("failures", failures);
-    w.kv("skipped_backends", skipped);
+    if (opt.crash)
+        w.kv("skipped_backends", skipped);
     w.endObject();
     w.endObject();
 
@@ -570,9 +624,9 @@ crashSweepMode(const Options &opt)
                      opt.out.c_str());
         return 2;
     }
-    std::fprintf(stderr,
-                 "tmtorture --crash: %d runs, %d failures -> %s\n",
-                 total, failures, opt.out.c_str());
+    std::fprintf(stderr, "tmtorture%s: %d runs, %d failures -> %s\n",
+                 opt.crash ? " --crash" : "", total, failures,
+                 opt.out.c_str());
     return failures ? 1 : 0;
 }
 
@@ -584,103 +638,5 @@ main(int argc, char **argv)
     const Options opt = parseArgs(argc, argv);
     if (!opt.replayPath.empty())
         return replayMode(opt);
-    if (opt.crash)
-        return crashSweepMode(opt);
-
-    json::Writer w;
-    w.beginObject();
-    w.kv("schema", "ufotm-torture");
-    w.kv("schema_version", 1);
-    w.key("config").beginObject();
-    w.kv("seeds", opt.seeds);
-    w.kv("threads", opt.threads);
-    w.kv("ops_per_thread", opt.ops);
-    w.kv("cells", opt.cells);
-    w.kv("kv_batch", opt.kvBatch);
-    w.kv("otable_buckets", opt.otableBuckets);
-    w.kv("oracle_interval", opt.oracleInterval);
-    w.kv("predictor", opt.predictor);
-    w.kv("inject_lockstep_bug", opt.injectLockstepBug);
-    w.kv("inject_release_starvation", opt.injectReleaseStarvation);
-    w.kv("inject_pct_bound_bug", opt.injectPctBoundBug);
-    w.kv("timeline", opt.timeline);
-    w.kv("watchdog", opt.watchdog);
-    w.endObject();
-    w.key("runs").beginArray();
-
-    int total = 0, failures = 0;
-    bool timelineWritten = false;
-    for (torture::TortureWorkload workload : opt.workloads) {
-        for (TxSystemKind kind : opt.backends) {
-            for (SchedPolicy policy : opt.policies) {
-                for (int i = 0; i < opt.seeds; ++i) {
-                    const std::uint64_t s = opt.seed + std::uint64_t(i);
-                    torture::TortureConfig cfg =
-                        makeConfig(opt, workload, kind, policy, s);
-                    const torture::TortureResult res =
-                        torture::runTorture(cfg);
-                    ++total;
-                    if (res.ok()) {
-                        writeRun(w, cfg, res, nullptr);
-                        continue;
-                    }
-                    ++failures;
-                    std::fprintf(
-                        stderr,
-                        "FAIL %s/%s/%s seed %llu: %s at step %llu: "
-                        "%s\n",
-                        torture::tortureWorkloadName(workload),
-                        txSystemKindName(kind),
-                        schedPolicyName(policy), (unsigned long long)s,
-                        res.oracle.c_str(),
-                        (unsigned long long)res.violationStep,
-                        res.why.c_str());
-                    // Forensics: keep the first failing run's timeline
-                    // (windowed counters, conflict edges, watchdog).
-                    if (!timelineWritten && !res.timeline.empty()) {
-                        if (stats::writeFile(opt.timelineOut,
-                                             res.timeline + "\n")) {
-                            timelineWritten = true;
-                            std::fprintf(stderr,
-                                         "  timeline -> %s\n",
-                                         opt.timelineOut.c_str());
-                        }
-                    }
-                    torture::MinimizeResult min =
-                        torture::minimizeSchedule(cfg, res.schedule,
-                                                  res.oracle,
-                                                  res.violationStep,
-                                                  opt.minimizeBudget);
-                    std::fprintf(
-                        stderr,
-                        "  minimized %llu -> %llu steps (%d replays)\n",
-                        (unsigned long long)res.schedule.steps(),
-                        (unsigned long long)min.schedule.steps(),
-                        min.runs);
-                    writeRun(w, cfg, res, &min);
-                }
-            }
-            std::fprintf(
-                stderr, "%s/%-13s done (%d policies x %d seeds)\n",
-                torture::tortureWorkloadName(workload),
-                txSystemKindName(kind), int(opt.policies.size()),
-                opt.seeds);
-        }
-    }
-
-    w.endArray();
-    w.key("summary").beginObject();
-    w.kv("runs", total);
-    w.kv("failures", failures);
-    w.endObject();
-    w.endObject();
-
-    if (!stats::writeFile(opt.out, w.str() + "\n")) {
-        std::fprintf(stderr, "cannot write report '%s'\n",
-                     opt.out.c_str());
-        return 2;
-    }
-    std::fprintf(stderr, "tmtorture: %d runs, %d failures -> %s\n",
-                 total, failures, opt.out.c_str());
-    return failures ? 1 : 0;
+    return sweepMode(opt);
 }
