@@ -157,10 +157,11 @@ recover(Machine &machine, const PersistentImage &image)
     // ownership table rebuilds empty, and the otable↔UFO lockstep
     // invariant therefore requires an all-clear protection map.
     std::vector<LineAddr> protectedLines;
+    protectedLines.reserve(mem.ufoLineCount());
     mem.forEachUfoLine([&](LineAddr line, UfoBits) {
         protectedLines.push_back(line);
+        return true;
     });
-    std::sort(protectedLines.begin(), protectedLines.end());
     for (LineAddr line : protectedLines)
         mem.setUfoBits(line, kUfoNone);
     rep.ufoLinesScrubbed = protectedLines.size();

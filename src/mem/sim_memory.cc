@@ -6,29 +6,39 @@
 
 namespace utm {
 
-SimMemory::Page &
-SimMemory::pageFor(Addr a)
+inline SimMemory::Page *
+SimMemory::findPage(Addr a) const
 {
     const std::uint64_t idx = a >> kPageBits;
+    if (idx < kTablePages)
+        return tablePage(idx);
     auto it = pages_.find(idx);
-    if (it == pages_.end())
-        it = pages_.emplace(idx, std::make_unique<Page>()).first;
-    return *it->second;
-}
-
-const SimMemory::Page *
-SimMemory::pageForConst(Addr a) const
-{
-    auto it = pages_.find(a >> kPageBits);
     return it == pages_.end() ? nullptr : it->second.get();
 }
 
+SimMemory::Page &
+SimMemory::pageFor(Addr a)
+{
+    if (Page *p = findPage(a))
+        return *p;
+    const std::uint64_t idx = a >> kPageBits;
+    Page *p = pages_.emplace(idx, std::make_unique<Page>())
+                  .first->second.get();
+    if (idx < kTablePages) {
+        std::unique_ptr<Leaf> &leaf = table_[idx >> kLeafBits];
+        if (!leaf)
+            leaf = std::make_unique<Leaf>();
+        (*leaf)[idx & (kLeafPages - 1)] = p;
+    }
+    return *p;
+}
+
 std::uint64_t
-SimMemory::read(Addr a, unsigned size) const
+SimMemory::readChecked(Addr a, unsigned size) const
 {
     utm_assert(size == 1 || size == 2 || size == 4 || size == 8);
     utm_assert(lineOf(a) == lineOf(a + size - 1));
-    const Page *p = pageForConst(a);
+    const Page *p = findPage(a);
     if (!p)
         return 0;
     std::uint64_t v = 0;
@@ -48,7 +58,7 @@ SimMemory::write(Addr a, std::uint64_t v, unsigned size)
 UfoBits
 SimMemory::ufoBits(LineAddr line) const
 {
-    const Page *p = pageForConst(line);
+    const Page *p = findPage(line);
     if (!p)
         return kUfoNone;
     std::uint8_t raw =
@@ -67,9 +77,9 @@ SimMemory::setUfoBits(LineAddr line, UfoBits bits)
                                      (bits.faultOnWrite ? 2 : 0));
     const bool now = slot != 0;
     if (was && !now)
-        p.ufoSetCount--;
+        ufoLines_.erase(line);
     else if (!was && now)
-        p.ufoSetCount++;
+        ufoLines_.insert(line);
 }
 
 void
@@ -83,7 +93,7 @@ SimMemory::addUfoBits(LineAddr line, UfoBits bits)
 bool
 SimMemory::pageExists(Addr a) const
 {
-    return pages_.find(a >> kPageBits) != pages_.end();
+    return findPage(a) != nullptr;
 }
 
 void
@@ -94,20 +104,11 @@ SimMemory::materializePage(Addr a)
 
 void
 SimMemory::forEachUfoLine(
-    const std::function<void(LineAddr, UfoBits)> &fn) const
+    const std::function<bool(LineAddr, UfoBits)> &fn) const
 {
-    for (const auto &[idx, page] : pages_) {
-        if (page->ufoSetCount == 0)
-            continue;
-        for (unsigned i = 0; i < kLinesPerPage; ++i) {
-            std::uint8_t raw = page->ufo[i];
-            if (!raw)
-                continue;
-            LineAddr line = (idx << kPageBits) +
-                            (std::uint64_t(i) << kLineBits);
-            fn(line, UfoBits{(raw & 1) != 0, (raw & 2) != 0});
-        }
-    }
+    for (LineAddr line : ufoLines_)
+        if (!fn(line, ufoBits(line)))
+            return;
 }
 
 void
@@ -120,8 +121,9 @@ SimMemory::forEachPage(const std::function<void(Addr)> &fn) const
 bool
 SimMemory::pageHasUfoBits(Addr a) const
 {
-    const Page *p = pageForConst(a);
-    return p && p->ufoSetCount > 0;
+    const Addr base = a & ~(kPageSize - 1);
+    auto it = ufoLines_.lower_bound(base);
+    return it != ufoLines_.end() && *it < base + kPageSize;
 }
 
 } // namespace utm

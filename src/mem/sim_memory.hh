@@ -6,6 +6,12 @@
  * as the paper's Appendix A describes (UFO bits travel with the data
  * through the whole hierarchy).  Storage is allocated lazily in 64 KiB
  * pages so tests and workloads can use a sparse address space.
+ *
+ * Two host-side indexes sit beside the page map and change nothing it
+ * reports: a two-level page-pointer table answers lookups below 4 GiB
+ * (where every region of the simulated layout lives) without hashing,
+ * and an ordered set of the UFO-protected lines lets forEachUfoLine()
+ * visit only those lines, in ascending order.
  */
 
 #ifndef UFOTM_MEM_SIM_MEMORY_HH
@@ -13,8 +19,10 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <set>
 #include <unordered_map>
 
 #include "sim/types.hh"
@@ -33,12 +41,32 @@ class SimMemory
      * Read @p size bytes (1, 2, 4, or 8) at @p a, zero-extended.
      * The access must not cross a cache-line boundary.
      */
-    std::uint64_t read(Addr a, unsigned size) const;
+    std::uint64_t
+    read(Addr a, unsigned size) const
+    {
+        // Inline fast path: an aligned word in a page below 4 GiB (the
+        // otable walks and shadow reads of the per-step oracles).  It
+        // cannot fail readChecked()'s size and line-crossing checks.
+        const std::uint64_t idx = a >> kPageBits;
+        if (size == 8 && (a & 7) == 0 && idx < kTablePages) {
+            if (const Page *p = tablePage(idx)) {
+                std::uint64_t v;
+                std::memcpy(&v, p->data.data() + (a & (kPageSize - 1)), 8);
+                return v;
+            }
+        }
+        return readChecked(a, size);
+    }
 
     /** Write the low @p size bytes of @p v at @p a. */
     void write(Addr a, std::uint64_t v, unsigned size);
 
-    /** @name UFO protection bits, per cache line. @{ */
+    /**
+     * @name UFO protection bits, per cache line.
+     * setUfoBits() is the only writer of the bits, and so the only
+     * place the ordered line index changes.
+     * @{
+     */
     UfoBits ufoBits(LineAddr line) const;
     void setUfoBits(LineAddr line, UfoBits bits);
     void addUfoBits(LineAddr line, UfoBits bits);
@@ -47,6 +75,9 @@ class SimMemory
     /** True if any UFO bit is set anywhere in the page holding @p a.
      *  Used by the swap model's all-clear-page optimization. */
     bool pageHasUfoBits(Addr a) const;
+
+    /** Number of lines with any UFO bit set. */
+    std::size_t ufoLineCount() const { return ufoLines_.size(); }
 
     /** Has the page holding @p a been materialized (page-fault model)? */
     bool pageExists(Addr a) const;
@@ -58,12 +89,13 @@ class SimMemory
     std::size_t pageCount() const { return pages_.size(); }
 
     /**
-     * Invoke @p fn for every line with any UFO bit set.  Page
-     * enumeration order is unspecified (hash-map order) — callers that
-     * need deterministic output must aggregate, not early-exit.
+     * Invoke @p fn for every line with any UFO bit set, in ascending
+     * line order; @p fn returns false to stop the walk early.  @p fn
+     * must not call setUfoBits() (or addUfoBits()): changing the
+     * index under the walk invalidates it.  Collect the lines first.
      */
     void forEachUfoLine(
-        const std::function<void(LineAddr, UfoBits)> &fn) const;
+        const std::function<bool(LineAddr, UfoBits)> &fn) const;
 
     /**
      * Invoke @p fn with the base address of every materialized page.
@@ -78,13 +110,41 @@ class SimMemory
         std::array<std::uint8_t, kPageSize> data{};
         /** Two bits per line: bit0 = fault-on-read, bit1 = f-o-write. */
         std::array<std::uint8_t, kLinesPerPage> ufo{};
-        unsigned ufoSetCount = 0;
     };
 
-    Page &pageFor(Addr a);
-    const Page *pageForConst(Addr a) const;
+    /** @name Page-pointer table over the pages below 4 GiB.
+     *  kTableLeaves top slots, each a lazily allocated leaf of
+     *  kLeafPages pointers into pages_. @{ */
+    static constexpr unsigned kLeafBits = 8;
+    static constexpr std::uint64_t kLeafPages = 1ull << kLeafBits;
+    static constexpr std::uint64_t kTablePages = 1ull << (32 - kPageBits);
+    static constexpr std::uint64_t kTableLeaves = kTablePages / kLeafPages;
+    using Leaf = std::array<Page *, kLeafPages>;
+    /** @} */
 
+    /** Page @p idx (below kTablePages), or nullptr. */
+    Page *
+    tablePage(std::uint64_t idx) const
+    {
+        const Leaf *leaf = table_[idx >> kLeafBits].get();
+        return leaf ? (*leaf)[idx & (kLeafPages - 1)] : nullptr;
+    }
+
+    /** The page holding @p a, or nullptr if not materialized. */
+    Page *findPage(Addr a) const;
+
+    /** read() for any size and page, with both access checks. */
+    std::uint64_t readChecked(Addr a, unsigned size) const;
+
+    /** The page holding @p a, materialized on first use. */
+    Page &pageFor(Addr a);
+
+    /** Owns every page; the table and the order of forEachPage()
+     *  are views over it. */
     std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+    std::array<std::unique_ptr<Leaf>, kTableLeaves> table_;
+    /** Every line whose UFO slot is non-zero. */
+    std::set<LineAddr> ufoLines_;
 };
 
 } // namespace utm

@@ -171,11 +171,14 @@ class PctScheduler final : public SchedulerPolicy
           curBound_(bound_),
           fixedBound_(cfg.testOnlyFixedPctBound)
     {
+        std::array<ThreadId, kMaxThreads> order;
         for (int t = 0; t < kMaxThreads; ++t)
-            order_[t] = static_cast<ThreadId>(t);
-        // Fisher-Yates: order_[0] is the highest priority.
+            order[t] = static_cast<ThreadId>(t);
+        // Fisher-Yates: order[0] is the highest priority.
         for (int t = kMaxThreads - 1; t > 0; --t)
-            std::swap(order_[t], order_[rng_.nextBounded(t + 1)]);
+            std::swap(order[t], order[rng_.nextBounded(t + 1)]);
+        for (int t = 0; t < kMaxThreads; ++t)
+            rank_[order[t]] = static_cast<unsigned>(t);
         unsigned points = cfg.pctChangePoints;
         std::uint64_t horizon =
             cfg.pctExpectedSteps ? cfg.pctExpectedSteps : 1;
@@ -203,13 +206,10 @@ class PctScheduler final : public SchedulerPolicy
             if (!fixedBound_)
                 curBound_ = bound_ + rng_.nextBounded(bound_);
         }
-        ThreadId choice = -1;
-        for (int t = 0; t < kMaxThreads && choice < 0; ++t)
-            for (int i = 0; i < view.n; ++i)
-                if (view.runnable[i].id == order_[t]) {
-                    choice = order_[t];
-                    break;
-                }
+        ThreadId choice = view.runnable[0].id;
+        for (int i = 1; i < view.n; ++i)
+            if (rank_[view.runnable[i].id] < rank_[choice])
+                choice = view.runnable[i].id;
         streak_ = choice == last_ ? streak_ + 1 : 1;
         last_ = choice;
         return choice;
@@ -223,11 +223,16 @@ class PctScheduler final : public SchedulerPolicy
     }
 
   private:
+    /** Move @p tid to the lowest priority; everyone below it moves
+     *  up one place. */
     void
     demote(ThreadId tid)
     {
-        auto it = std::find(order_.begin(), order_.end(), tid);
-        std::rotate(it, it + 1, order_.end());
+        const unsigned r = rank_[tid];
+        for (unsigned &x : rank_)
+            if (x > r)
+                --x;
+        rank_[tid] = kMaxThreads - 1;
         streak_ = 0;
     }
 
@@ -235,7 +240,8 @@ class PctScheduler final : public SchedulerPolicy
     unsigned bound_;
     unsigned curBound_;
     bool fixedBound_;
-    std::array<ThreadId, kMaxThreads> order_;
+    /** Priority rank per thread id: 0 is the highest. */
+    std::array<unsigned, kMaxThreads> rank_;
     std::vector<std::uint64_t> changePoints_;
     std::size_t nextPoint_ = 0;
     ThreadId last_ = -1;

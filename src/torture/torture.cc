@@ -751,15 +751,19 @@ runCrashTorture(const TortureConfig &base, std::uint64_t crash_step)
         crash_step = cfg.replay->crashStep();
     if (crash_step == 0) {
         TortureConfig probe = cfg;
-        probe.record = false;
         probe.crashStep = 0;
         const TortureResult pr = runTortureImpl(probe, nullptr);
+        out.probeSteps = pr.steps;
         if (!pr.ok()) {
+            // The probe's own forensics: its schedule replays the
+            // failure (crash-free, so a replay probes again).
             out.why = "crash-free probe failed oracle " + pr.oracle +
                       ": " + pr.why;
+            out.schedule = pr.schedule;
+            out.stats = pr.stats;
+            out.timeline = pr.timeline;
             return out;
         }
-        out.probeSteps = pr.steps;
         std::uint64_t h =
             (cfg.seed + 0x9e3779b97f4a7c15ull) * 0xbf58476d1ce4e5b9ull;
         h ^= h >> 31;
@@ -868,10 +872,7 @@ runCrashTorture(const TortureConfig &base, std::uint64_t crash_step)
     // Oracle: no UFO protection bit survives recovery, and the
     // backend's otable↔UFO lockstep invariant holds on the recovered
     // machine (empty ownership ↔ all-clear protection).
-    std::uint64_t ufoLeft = 0;
-    rm.memory().forEachUfoLine(
-        [&](LineAddr, UfoBits) { ++ufoLeft; });
-    if (ufoLeft) {
+    if (const std::size_t ufoLeft = rm.memory().ufoLineCount()) {
         out.why = std::to_string(ufoLeft) +
                   " UFO-protected lines survived recovery";
         return out;

@@ -198,9 +198,12 @@ struct CrashTortureResult
     std::uint64_t discardedRecords = 0; ///< Torn tails truncated.
 
     std::string recoverJson; ///< The `ufotm-recover` report.
+    /** @name The crash run's forensics, or the probe's when the
+     *  probe itself failed (then the schedule is crash-free).  @{ */
     ScheduleTrace schedule;  ///< Recorded schedule, crash step included.
-    std::map<std::string, std::uint64_t> stats; ///< Crash-run counters.
-    std::string timeline; ///< Crash-run ufotm-timeline (cfg.timeline).
+    std::map<std::string, std::uint64_t> stats; ///< Final counters.
+    std::string timeline; ///< ufotm-timeline doc (cfg.timeline).
+    /** @} */
 };
 
 /**

@@ -889,26 +889,7 @@ Ustm::unwindAbort(ThreadContext &tc, TxDesc &tx, const char *why)
 std::uint64_t
 Ustm::peekOwners(LineAddr line) const
 {
-    const SimMemory &mem = machine_.memory();
-    const std::uint64_t tag = Otable::tagOf(line);
-    const Addr head = otableFor(line).bucketAddr(line);
-    std::uint64_t w0 = mem.read(head, 8);
-    if (Otable::used(w0) && Otable::tag(w0) == tag) {
-        return Otable::multi(w0) ? mem.read(head + 8, 8)
-                                 : 1ull << Otable::owner(w0);
-    }
-    if (Otable::hasChain(w0)) {
-        Addr node = mem.read(head + 16, 8);
-        while (node != 0) {
-            std::uint64_t nw0 = mem.read(node, 8);
-            if (Otable::used(nw0) && Otable::tag(nw0) == tag) {
-                return Otable::multi(nw0) ? mem.read(node + 8, 8)
-                                          : 1ull << Otable::owner(nw0);
-            }
-            node = mem.read(node + 16, 8);
-        }
-    }
-    return 0;
+    return peekEntry(line).owners;
 }
 
 Ustm::PeekedEntry
@@ -917,11 +898,13 @@ Ustm::peekEntry(LineAddr line) const
     const SimMemory &mem = machine_.memory();
     const std::uint64_t tag = Otable::tagOf(line);
     const Addr head = otableFor(line).bucketAddr(line);
-    std::uint64_t w0 = mem.read(head, 8);
+    const std::uint64_t w0 = mem.read(head, 8);
+    const bool locked = Otable::locked(w0);
     if (Otable::used(w0) && Otable::tag(w0) == tag) {
         return {true, Otable::writeState(w0),
                 Otable::multi(w0) ? mem.read(head + 8, 8)
-                                  : 1ull << Otable::owner(w0)};
+                                  : 1ull << Otable::owner(w0),
+                locked};
     }
     if (Otable::hasChain(w0)) {
         Addr node = mem.read(head + 16, 8);
@@ -931,19 +914,13 @@ Ustm::peekEntry(LineAddr line) const
                 return {true, Otable::writeState(nw0),
                         Otable::multi(nw0)
                             ? mem.read(node + 8, 8)
-                            : 1ull << Otable::owner(nw0)};
+                            : 1ull << Otable::owner(nw0),
+                        locked};
             }
             node = mem.read(node + 16, 8);
         }
     }
-    return {};
-}
-
-bool
-Ustm::rowLocked(LineAddr line) const
-{
-    return Otable::locked(
-        machine_.memory().read(otableFor(line).bucketAddr(line), 8));
+    return {false, false, 0, locked};
 }
 
 bool
@@ -996,9 +973,9 @@ Ustm::verifyOracleInvariants(std::string *why) const
         if (tx.status == TxDesc::Status::Inactive)
             continue;
         for (const auto &o : tx.owned) {
-            if (rowLocked(o.line))
-                continue; // Mid-update under the Algorithm 2 row lock.
             PeekedEntry e = peekEntry(o.line);
+            if (e.locked)
+                continue; // Mid-update under the Algorithm 2 row lock.
             if (!e.found || !(e.owners & (1ull << t)))
                 continue; // Already released (mid-releaseAll).
             if (anyOwnerRetrying(e.owners))
@@ -1018,17 +995,13 @@ Ustm::verifyOracleInvariants(std::string *why) const
     }
 
     // Lockstep, direction 2: every line with UFO protection has a
-    // matching published otable entry.  forEachUfoLine enumerates in
-    // hash order, so aggregate to the lowest violating line to keep
-    // the report deterministic.
-    bool bad = false;
-    LineAddr bad_line = 0;
-    UfoBits bad_bits = kUfoNone;
-    const char *bad_what = nullptr;
+    // matching published otable entry.  forEachUfoLine walks lines in
+    // ascending order, so the first violation is the lowest line.
+    bool ok = true;
     mem.forEachUfoLine([&](LineAddr line, UfoBits bits) {
-        if (rowLocked(line))
-            return;
         PeekedEntry e = peekEntry(line);
+        if (e.locked)
+            return true;
         const char *what = nullptr;
         if (!e.found || e.owners == 0) {
             what = "no otable owner";
@@ -1037,21 +1010,16 @@ Ustm::verifyOracleInvariants(std::string *why) const
             if (!(bits == expect))
                 what = "an otable entry of the other ownership kind";
         }
-        if (what && (!bad || line < bad_line)) {
-            bad = true;
-            bad_line = line;
-            bad_bits = bits;
-            bad_what = what;
-        }
-    });
-    if (bad) {
-        os << "line 0x" << std::hex << bad_line << std::dec
-           << ": UFO bits {r=" << bad_bits.faultOnRead
-           << ",w=" << bad_bits.faultOnWrite << "} but " << bad_what;
+        if (!what)
+            return true;
+        os << "line 0x" << std::hex << line << std::dec
+           << ": UFO bits {r=" << bits.faultOnRead
+           << ",w=" << bits.faultOnWrite << "} but " << what;
         *why = os.str();
+        ok = false;
         return false;
-    }
-    return true;
+    });
+    return ok;
 }
 
 bool
@@ -1082,9 +1050,10 @@ Ustm::inspectForRetryers(ThreadContext &tc, LineAddr line,
     // owner.  Clearing the bits in that window would leave a published
     // entry unprotected (found by tmtorture; see
     // tests/test_tmtorture.cc InspectRowLockWindow).
-    if (rowLocked(line))
+    const PeekedEntry e = peekEntry(line);
+    if (e.locked)
         return false;
-    std::uint64_t owners = peekOwners(line);
+    std::uint64_t owners = e.owners;
     if (owners == 0)
         return true; // Bits mid-release: safe to clear.
     for (int o = 0; owners != 0; ++o, owners >>= 1) {

@@ -326,15 +326,17 @@ class Ustm
     /** Lock the row; returns the locked w0 or 0 on failure. */
     bool lockRow(ThreadContext &tc, Addr head, std::uint64_t w0);
 
-    /** Functional (untimed) otable entry lookup for the oracles. */
+    /** Functional (untimed) otable entry lookup.  `locked` is the
+     *  bucket's row-lock bit: a locked row is mid-update under the
+     *  Algorithm 2 row lock, and its entry must not be trusted. */
     struct PeekedEntry
     {
         bool found = false;
         bool write = false;
         std::uint64_t owners = 0;
+        bool locked = false;
     };
     PeekedEntry peekEntry(LineAddr line) const;
-    bool rowLocked(LineAddr line) const;
     bool anyOwnerRetrying(std::uint64_t owners) const;
 
     /** shardOfAddr for the owning machine's config (avoids a

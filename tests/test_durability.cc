@@ -18,7 +18,8 @@
  *  - ScheduleTrace v2: crash-free traces keep the v1 byte format,
  *    crash traces round-trip "crash=<K>", and a recorded crash
  *    schedule replays the whole crash-recover-check cycle
- *    bit-identically;
+ *    bit-identically; a cycle whose crash-free probe fails returns
+ *    the probe's schedule, which replays the failure;
  *  - the crash-torture gate: >= 64 (seed x policy) crash runs on
  *    durable ustm-ufo and ufo-hybrid, each checked for prefix
  *    consistency, post-recovery otable<->UFO lockstep, and recovery
@@ -364,9 +365,7 @@ TEST(Recovery, SurvivingUfoBitsScrubbed)
     Machine m(mc);
     const dur::RecoveryReport rep = dur::recover(m, img);
     EXPECT_EQ(rep.ufoLinesScrubbed, 1u);
-    std::uint64_t left = 0;
-    m.memory().forEachUfoLine([&](LineAddr, UfoBits) { ++left; });
-    EXPECT_EQ(left, 0u);
+    EXPECT_EQ(m.memory().ufoLineCount(), 0u);
 }
 
 // ------------------------------------------------- ScheduleTrace v2
@@ -450,6 +449,42 @@ TEST(CrashReplay, RecordedScheduleReplaysBitIdentically)
     EXPECT_EQ(b.stats, a.stats);
     EXPECT_EQ(b.committedTx, a.committedTx);
     EXPECT_EQ(b.fencedTx, a.fencedTx);
+}
+
+TEST(CrashReplay, FailingProbeReturnsReplayableSchedule)
+{
+    // A failure before any crash is injected (here the otable<->UFO
+    // lockstep mutation) reports the crash-free probe's forensics: a
+    // schedule, counters and timeline, and the schedule replays the
+    // same failure.
+    TortureConfig cfg;
+    cfg.kind = TxSystemKind::UstmStrong;
+    cfg.workload = TortureWorkload::Kv;
+    cfg.seed = 1;
+    cfg.injectLockstepBug = true;
+    cfg.timeline = true;
+    const CrashTortureResult a = torture::runCrashTorture(cfg);
+    ASSERT_FALSE(a.ok);
+    EXPECT_EQ(a.why.rfind("crash-free probe failed oracle "
+                          "backend-invariants: ",
+                          0),
+              0u)
+        << a.why;
+    EXPECT_EQ(a.crashStep, 0u);
+    EXPECT_GT(a.probeSteps, 0u);
+    EXPECT_EQ(a.schedule.steps(), a.probeSteps);
+    EXPECT_EQ(a.schedule.crashStep(), 0u);
+    EXPECT_FALSE(a.stats.empty());
+    EXPECT_FALSE(a.timeline.empty());
+
+    TortureConfig rcfg = cfg;
+    rcfg.replay = &a.schedule;
+    const CrashTortureResult b = torture::runCrashTorture(rcfg);
+    EXPECT_FALSE(b.ok);
+    EXPECT_EQ(b.why, a.why);
+    EXPECT_EQ(b.probeSteps, a.probeSteps);
+    EXPECT_EQ(b.schedule, a.schedule);
+    EXPECT_EQ(b.stats, a.stats);
 }
 
 // ------------------------------------------------ Crash-torture gate

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/directory.hh"
 #include "mem/memory_system.hh"
@@ -70,6 +75,114 @@ TEST(SimMemory, PageHasUfoBitsTracksCount)
     EXPECT_TRUE(mem.pageHasUfoBits(0x0));
     mem.setUfoBits(0x80, kUfoNone);
     EXPECT_FALSE(mem.pageHasUfoBits(0x0));
+}
+
+TEST(SimMemory, PagesEitherSideOf4GiB)
+{
+    // The last page below 4 GiB is looked up through the page table,
+    // the first one at 4 GiB through the page map; both behave alike.
+    SimMemory mem;
+    const Addr below = 0xFFFF0000, at = 0x100000000;
+    EXPECT_EQ(mem.read(below + 0xFFF8, 8), 0u);
+    EXPECT_EQ(mem.read(at, 8), 0u);
+    EXPECT_FALSE(mem.pageExists(below));
+    EXPECT_FALSE(mem.pageExists(at));
+    EXPECT_EQ(mem.pageCount(), 0u);
+
+    mem.write(below + 0xFFF8, 0x1111, 8);
+    EXPECT_TRUE(mem.pageExists(below));
+    EXPECT_FALSE(mem.pageExists(at));
+    EXPECT_FALSE(mem.pageExists(0xFF000000)); // Same leaf, other slot.
+    EXPECT_EQ(mem.pageCount(), 1u);
+
+    mem.write(at, 0x2222, 8);
+    EXPECT_TRUE(mem.pageExists(at));
+    EXPECT_FALSE(mem.pageExists(at + SimMemory::kPageSize));
+    EXPECT_EQ(mem.pageCount(), 2u);
+    EXPECT_EQ(mem.read(below + 0xFFF8, 8), 0x1111u);
+    EXPECT_EQ(mem.read(at, 8), 0x2222u);
+
+    mem.materializePage(at - 2 * SimMemory::kPageSize);
+    mem.materializePage(at + 5 * SimMemory::kPageSize);
+    EXPECT_EQ(mem.pageCount(), 4u);
+    std::set<Addr> pages;
+    mem.forEachPage([&](Addr p) { pages.insert(p); });
+    EXPECT_EQ(pages, (std::set<Addr>{at - 2 * SimMemory::kPageSize,
+                                     below, at,
+                                     at + 5 * SimMemory::kPageSize}));
+}
+
+TEST(SimMemory, UfoLinesVisitedInAscendingOrder)
+{
+    SimMemory mem;
+    const std::vector<LineAddr> lines = {
+        0x100000040, 0x20040, 0xFFFFFFC0, 0x40, 0x100010000, 0x10000,
+    };
+    for (LineAddr l : lines)
+        mem.setUfoBits(l, l & 0x40 ? kUfoBoth : kUfoWriteOnly);
+
+    std::vector<LineAddr> seen;
+    mem.forEachUfoLine([&](LineAddr line, UfoBits bits) {
+        EXPECT_EQ(bits, line & 0x40 ? kUfoBoth : kUfoWriteOnly);
+        seen.push_back(line);
+        return true;
+    });
+    std::vector<LineAddr> sorted = lines;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(seen, sorted);
+
+    // Early exit: the walk stops at the first false.
+    seen.clear();
+    mem.forEachUfoLine([&](LineAddr line, UfoBits) {
+        seen.push_back(line);
+        return seen.size() < 2;
+    });
+    EXPECT_EQ(seen, (std::vector<LineAddr>{0x40, 0x10000}));
+}
+
+TEST(SimMemory, UfoLineIndexTracksEveryWrite)
+{
+    SimMemory mem;
+    auto indexed = [&] {
+        std::vector<std::pair<LineAddr, UfoBits>> out;
+        mem.forEachUfoLine([&](LineAddr line, UfoBits bits) {
+            out.emplace_back(line, bits);
+            return true;
+        });
+        return out;
+    };
+    using Want = std::vector<std::pair<LineAddr, UfoBits>>;
+    const LineAddr a = 0x1000, b = 0x1040, c = 0x30000;
+
+    EXPECT_EQ(mem.ufoLineCount(), 0u);
+    mem.setUfoBits(a, kUfoWriteOnly);
+    mem.setUfoBits(a, kUfoBoth); // Non-zero to non-zero.
+    EXPECT_EQ(indexed(), (Want{{a, kUfoBoth}}));
+    mem.setUfoBits(a, kUfoNone);
+    mem.setUfoBits(a, kUfoNone); // Zero to zero.
+    EXPECT_EQ(mem.ufoLineCount(), 0u);
+    EXPECT_FALSE(mem.pageHasUfoBits(a));
+    mem.setUfoBits(a, kUfoWriteOnly); // Re-set.
+    EXPECT_EQ(indexed(), (Want{{a, kUfoWriteOnly}}));
+
+    mem.addUfoBits(b, UfoBits{true, false});
+    EXPECT_EQ(indexed(), (Want{{a, kUfoWriteOnly}, {b, {true, false}}}));
+    mem.addUfoBits(b, kUfoWriteOnly);
+    mem.addUfoBits(c, kUfoNone); // Materializes c's page, no bit.
+    EXPECT_EQ(indexed(), (Want{{a, kUfoWriteOnly}, {b, kUfoBoth}}));
+    EXPECT_TRUE(mem.pageExists(c));
+    EXPECT_FALSE(mem.pageHasUfoBits(c));
+
+    mem.setUfoBits(c, kUfoBoth);
+    mem.setUfoBits(a, kUfoNone);
+    EXPECT_EQ(indexed(), (Want{{b, kUfoBoth}, {c, kUfoBoth}}));
+    EXPECT_TRUE(mem.pageHasUfoBits(a)); // b shares a's page.
+    mem.setUfoBits(b, kUfoNone);
+    mem.setUfoBits(c, kUfoNone);
+    EXPECT_EQ(mem.ufoLineCount(), 0u);
+    EXPECT_TRUE(indexed().empty());
+    EXPECT_FALSE(mem.pageHasUfoBits(a));
+    EXPECT_FALSE(mem.pageHasUfoBits(c));
 }
 
 TEST(SimMemory, UfoFaultPredicate)

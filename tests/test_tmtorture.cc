@@ -10,6 +10,8 @@
  *  - a pinned kv op stream: fixed steps, cycles, commits and raw
  *    reads for one seed, with coalescing off and on, unsharded and
  *    sharded;
+ *  - a pinned PCT schedule: fixed steps, cycles, preemptions and
+ *    demotions for two seeds on two backends;
  *  - record/replay bit-identity: replaying a recorded schedule
  *    reproduces the run exactly;
  *  - mutation self-test: breaking the Algorithm 2 otable<->UFO-bit
@@ -149,6 +151,44 @@ TEST(TmTorture, KvOpStreamPinned)
     }
 }
 
+TEST(TmTorture, PctSchedulePinned)
+{
+    // PCT's picks, pinned: the seeded priority order, the change
+    // points and the starvation-bound demotions choose every step, so
+    // these figures move if pick() or a demotion ever chooses a
+    // different thread.
+    struct Pin
+    {
+        TxSystemKind kind;
+        std::uint64_t seed;
+        std::uint64_t steps;
+        Cycles cycles;
+        std::uint64_t preemptions;
+        std::uint64_t demotions;
+    };
+    const Pin pins[] = {
+        {TxSystemKind::UfoHybrid, 3, 904, 27043, 39, 30},
+        {TxSystemKind::UfoHybrid, 8, 719, 20695, 32, 26},
+        {TxSystemKind::UstmStrong, 3, 3873, 16886, 164, 153},
+        {TxSystemKind::UstmStrong, 8, 5888, 26060, 249, 238},
+    };
+    for (const Pin &pin : pins) {
+        TortureConfig cfg =
+            smallConfig(pin.kind, SchedPolicy::Pct, pin.seed);
+        cfg.sched.starvationBound = 16;
+        const TortureResult res = torture::runTorture(cfg);
+        const std::string what = std::string(txSystemKindName(pin.kind)) +
+                                 " seed " + std::to_string(pin.seed);
+        EXPECT_TRUE(res.ok()) << what << ": " << res.why;
+        EXPECT_EQ(res.steps, pin.steps) << what;
+        EXPECT_EQ(res.cycles, pin.cycles) << what;
+        EXPECT_EQ(res.stats.at("sched.preemptions"), pin.preemptions)
+            << what;
+        EXPECT_EQ(res.stats.at("sched.pct_demotions"), pin.demotions)
+            << what;
+    }
+}
+
 TEST(TmTorture, PredictorOnPassesOraclesAndStaysDeterministic)
 {
     // The path predictor must not perturb the determinism contract:
@@ -243,7 +283,9 @@ TEST(TmTorture, LockstepMutationIsCaughtAndMinimized)
     TortureResult res = torture::runTorture(cfg);
     ASSERT_TRUE(res.violated);
     EXPECT_EQ(res.oracle, "backend-invariants");
-    EXPECT_NE(res.why.find("UFO bits"), std::string::npos) << res.why;
+    EXPECT_EQ(res.violationStep, 10u);
+    EXPECT_EQ(res.why, "line 0x10000000: otable read-owned (thread 2) "
+                       "but UFO bits are {r=0,w=0}");
 
     MinimizeResult min = torture::minimizeSchedule(
         cfg, res.schedule, res.oracle, res.violationStep,

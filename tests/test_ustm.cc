@@ -324,6 +324,24 @@ TEST(UstmStrong, UfoBitsTrackOwnership)
     EXPECT_EQ(m.memory().ufoBits(0x940), kUfoNone);
 }
 
+TEST(UstmStrong, LockstepOracleReportsLowestUnownedLine)
+{
+    // Lockstep direction 2: UFO protection with no otable owner.  The
+    // report names the lowest such line, whatever order the bits were
+    // set in and whichever page they sit on.
+    Machine m(quietConfig(1));
+    ThreadContext &tc = m.initContext();
+    Ustm ustm(m, /*strong_atomic=*/true);
+    ustm.setup(tc);
+    std::string why;
+    EXPECT_TRUE(ustm.verifyOracleInvariants(&why)) << why;
+    m.memory().setUfoBits(0x30040, kUfoBoth);
+    m.memory().setUfoBits(0x20080, kUfoWriteOnly);
+    m.memory().setUfoBits(0x300c0, kUfoBoth);
+    EXPECT_FALSE(ustm.verifyOracleInvariants(&why));
+    EXPECT_EQ(why, "line 0x20080: UFO bits {r=0,w=1} but no otable owner");
+}
+
 TEST(UstmStrong, NonTReadStallsUntilCommit)
 {
     Machine m(quietConfig(2));

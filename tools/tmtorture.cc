@@ -194,7 +194,9 @@ usage(const char *argv0)
         "  --replay FILE        replay one recorded schedule (with\n"
         "                       --backend and --seed); a v2 trace\n"
         "                       carrying crash=<K> re-runs the whole\n"
-        "                       crash-recover-check cycle\n"
+        "                       crash-recover-check cycle, and with\n"
+        "                       --crash a crash-free trace (a failed\n"
+        "                       probe's) replays that probe\n"
         "  --backend NAME       backend for --replay\n"
         "  --seed N             first sweep seed / replay seed "
         "(default 1)\n",
