@@ -31,11 +31,13 @@ abortReasonName(AbortReason r)
 MemorySystem::MemorySystem(Machine &machine, const MachineConfig &cfg)
     : machine_(machine), cfg_(cfg), mem_(machine.memory())
 {
-    // One L1 per possible thread id: worker cores plus the reserved
-    // init-context slot, so every ThreadContext has a cache.
-    l1_.reserve(kMaxThreads);
-    for (int i = 0; i < kMaxThreads; ++i)
-        l1_.push_back(std::make_unique<Cache>(cfg.l1Sets, cfg.l1Ways));
+    // One L1 per thread id in use: the worker cores (Machine::addThread
+    // bounds ids by numCores) and the init context's reserved last
+    // slot, so every ThreadContext has a cache.
+    l1_.resize(kMaxThreads);
+    for (int i = 0; i < cfg.numCores; ++i)
+        l1_[i] = std::make_unique<Cache>(cfg.l1Sets, cfg.l1Ways);
+    l1_[kMaxThreads - 1] = std::make_unique<Cache>(cfg.l1Sets, cfg.l1Ways);
     l2_ = std::make_unique<Cache>(cfg.l2Sets, cfg.l2Ways);
 }
 

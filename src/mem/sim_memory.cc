@@ -53,6 +53,14 @@ SimMemory::write(Addr a, std::uint64_t v, unsigned size)
     utm_assert(lineOf(a) == lineOf(a + size - 1));
     Page &p = pageFor(a);
     std::memcpy(p.data.data() + (a & (kPageSize - 1)), &v, size);
+    ++p.writes;
+}
+
+std::uint64_t
+SimMemory::pageWrites(Addr a) const
+{
+    const Page *p = findPage(a);
+    return p ? p->writes : 0;
 }
 
 UfoBits
@@ -70,6 +78,7 @@ void
 SimMemory::setUfoBits(LineAddr line, UfoBits bits)
 {
     utm_assert(lineOffset(line) == 0);
+    ++ufoChanges_;
     Page &p = pageFor(line);
     std::uint8_t &slot = p.ufo[(line & (kPageSize - 1)) >> kLineBits];
     const bool was = slot != 0;

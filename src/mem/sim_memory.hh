@@ -7,11 +7,13 @@
  * through the whole hierarchy).  Storage is allocated lazily in 64 KiB
  * pages so tests and workloads can use a sparse address space.
  *
- * Two host-side indexes sit beside the page map and change nothing it
+ * Host-side views sit beside the page map and change nothing it
  * reports: a two-level page-pointer table answers lookups below 4 GiB
- * (where every region of the simulated layout lives) without hashing,
- * and an ordered set of the UFO-protected lines lets forEachUfoLine()
- * visit only those lines, in ascending order.
+ * (where every region of the simulated layout lives) without hashing;
+ * an ordered set of the UFO-protected lines lets forEachUfoLine()
+ * visit only those lines, in ascending order; and two change counters
+ * (writes per page, UFO-bit updates) let a checker that reads a
+ * region and the bits skip a re-check when neither moved.
  */
 
 #ifndef UFOTM_MEM_SIM_MEMORY_HH
@@ -61,15 +63,21 @@ class SimMemory
     /** Write the low @p size bytes of @p v at @p a. */
     void write(Addr a, std::uint64_t v, unsigned size);
 
+    /** write() calls so far to the page holding @p a (0 while the
+     *  page is not materialized). */
+    std::uint64_t pageWrites(Addr a) const;
+
     /**
      * @name UFO protection bits, per cache line.
      * setUfoBits() is the only writer of the bits, and so the only
-     * place the ordered line index changes.
+     * place the ordered line index and the change count move.
      * @{
      */
     UfoBits ufoBits(LineAddr line) const;
     void setUfoBits(LineAddr line, UfoBits bits);
     void addUfoBits(LineAddr line, UfoBits bits);
+    /** setUfoBits() calls so far, whether or not the bits changed. */
+    std::uint64_t ufoChanges() const { return ufoChanges_; }
     /** @} */
 
     /** True if any UFO bit is set anywhere in the page holding @p a.
@@ -110,6 +118,7 @@ class SimMemory
         std::array<std::uint8_t, kPageSize> data{};
         /** Two bits per line: bit0 = fault-on-read, bit1 = f-o-write. */
         std::array<std::uint8_t, kLinesPerPage> ufo{};
+        std::uint64_t writes = 0; ///< write() calls to this page.
     };
 
     /** @name Page-pointer table over the pages below 4 GiB.
@@ -145,6 +154,7 @@ class SimMemory
     std::array<std::unique_ptr<Leaf>, kTableLeaves> table_;
     /** Every line whose UFO slot is non-zero. */
     std::set<LineAddr> ufoLines_;
+    std::uint64_t ufoChanges_ = 0;
 };
 
 } // namespace utm

@@ -85,7 +85,8 @@ Machine::run()
             telemetry_.onStep(pick, threads_[pick]->now());
             // A crash is abrupt: no oracle pass, no finalization.
             // Suspended fibers stay where they are; only host-side
-            // state (recorded schedule, persistent image) survives.
+            // state (recorded schedule, persistent image, scheduler
+            // counters) survives.
             if (crashStep_ != 0 && steps_ >= crashStep_) {
                 crashed_ = true;
                 break;
@@ -94,23 +95,29 @@ Machine::run()
                 runOracles();
         }
     } catch (...) {
+        exportSchedCounters();
         running_ = false;
         throw;
     }
-    if (crashed_) {
-        running_ = false;
-        return;
+    exportSchedCounters();
+    if (!crashed_) {
+        prof_.finalize(*this);
+        telemetry_.finalize();
     }
-    sched_->onRunEnd(stats_);
-    prof_.finalize(*this);
+    running_ = false;
+}
+
+void
+Machine::exportSchedCounters()
+{
     // Hot-path scheduler counters are accumulated in plain members and
-    // exported once here, keeping the per-step cost to integer adds.
+    // exported once per run, however it ends, keeping the per-step
+    // cost to integer adds.
+    sched_->onRunEnd(stats_);
     stats_.set("sched.steps", steps_);
     stats_.set("sched.preemptions", preemptions_);
     if (oracleChecks_)
         stats_.set("torture.oracle_checks", oracleChecks_);
-    telemetry_.finalize();
-    running_ = false;
 }
 
 void

@@ -54,7 +54,11 @@ class Machine
      */
     ThreadContext &addThread(ThreadContext::Fn fn);
 
-    /** Run the scheduler until every thread's entry fn returns. */
+    /**
+     * Run the scheduler until every thread's entry fn returns, an
+     * oracle violation throws OracleViolation, or the crash step is
+     * reached.  The scheduler counters are exported in all three.
+     */
     void run();
 
     /**
@@ -161,6 +165,10 @@ class Machine
 
   private:
     void runOracles();
+    /** Export sched.*, the policy's run-end counters and
+     *  torture.oracle_checks (also for a run cut by an oracle
+     *  violation or an injected crash). */
+    void exportSchedCounters();
 
     MachineConfig cfg_;
     SimMemory mem_;

@@ -275,7 +275,8 @@ setupWatchedLayout(const TortureConfig &cfg, Machine &m, TxHeap &heap)
 }
 
 TortureResult
-runTortureImpl(const TortureConfig &cfg, CrashHarvest *harvest)
+runTortureImpl(const TortureConfig &cfg, CrashHarvest *harvest,
+               const TortureSetupHook &hook = {})
 {
     // NoTm has no concurrency control; racing it is not a TM bug.
     const int threads = cfg.kind == TxSystemKind::NoTm ? 1 : cfg.threads;
@@ -350,6 +351,8 @@ runTortureImpl(const TortureConfig &cfg, CrashHarvest *harvest)
     ShadowOracle shadowOracle(m, *sys, addrs, shadow);
     HostFlagOracle rawOracle("raw-read", rawFlag);
     StallWatchdogOracle stallOracle(m);
+    if (hook)
+        hook(m, *sys);
     if (cfg.oraclesEnabled) {
         m.addOracle(&backendOracle);
         m.addOracle(&shadowOracle);
@@ -657,9 +660,9 @@ runTortureImpl(const TortureConfig &cfg, CrashHarvest *harvest)
 } // namespace
 
 TortureResult
-runTorture(const TortureConfig &cfg)
+runTorture(const TortureConfig &cfg, const TortureSetupHook &hook)
 {
-    return runTortureImpl(cfg, nullptr);
+    return runTortureImpl(cfg, nullptr, hook);
 }
 
 namespace {

@@ -33,6 +33,7 @@
 #define UFOTM_TORTURE_TORTURE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -176,8 +177,16 @@ struct TortureResult
     bool ok() const { return !violated && validated; }
 };
 
+/**
+ * Called with the built machine and backend once the workload is laid
+ * out, before the harness registers its oracles: tests use it to add
+ * oracles that run ahead of them at every checked step.
+ */
+using TortureSetupHook = std::function<void(Machine &, TxSystem &)>;
+
 /** Run one torture configuration to completion (or first violation). */
-TortureResult runTorture(const TortureConfig &cfg);
+TortureResult runTorture(const TortureConfig &cfg,
+                         const TortureSetupHook &hook = {});
 
 /**
  * Outcome of one crash-torture cycle: crash run, recovery, and the

@@ -1,8 +1,8 @@
 #include "ustm/ustm.hh"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstring>
-#include <sstream>
 
 #include "mem/memory_system.hh"
 #include "sim/logging.hh"
@@ -21,6 +21,21 @@ constexpr Cycles kUndoLogCost = 2;  ///< Per-word log append.
 constexpr int kStallPolls = 25;
 /** Safety bound for wait loops (simulator bug detector). */
 constexpr long kWaitSanityBound = 50'000'000;
+
+/**
+ * Fill @p why from a printf format and return false.  The one place an
+ * oracle check formats its report: out of line and cold, so a passing
+ * check builds no string.
+ */
+__attribute__((cold, noinline, format(printf, 2, 3))) bool
+violation(std::string *why, const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    *why = vformatString(fmt, ap);
+    va_end(ap);
+    return false;
+}
 
 } // namespace
 
@@ -136,7 +151,7 @@ Ustm::txBegin(ThreadContext &tc)
         }
         tx.killerTid = -1;
     }
-    tx.status = TxDesc::Status::Active;
+    setStatus(tx, TxDesc::Status::Active);
     tx.depth = 1;
     tx.killedAge = 0;
     tx.age = machine_.nextTxSeq();
@@ -162,7 +177,7 @@ Ustm::txEnd(ThreadContext &tc)
     }
     UTM_PROF_PHASE(machine_, tc, ProfComp::Ustm, ProfPhase::Commit);
     checkKill(tc); // Last chance to observe a kill.
-    tx.status = TxDesc::Status::Committing;
+    setStatus(tx, TxDesc::Status::Committing);
     // Commit linearization point: past the final kill check, before
     // ownership release, the eager writes are final.
     machine_.notifyCommitPoint(tc);
@@ -173,7 +188,7 @@ Ustm::txEnd(ThreadContext &tc)
     if (machine_.persist().active())
         persistCommit(tc, tx);
     releaseAll(tc, tx);
-    tx.status = TxDesc::Status::Inactive;
+    setStatus(tx, TxDesc::Status::Inactive);
     tx.depth = 0;
     tx.killedAge = 0;
     tx.undo.clear();
@@ -256,6 +271,14 @@ Ustm::record(TxDesc &tx, LineAddr line, Addr entry, bool write)
     }
     tx.ownedIndex.emplace(line, tx.owned.size());
     tx.owned.push_back({line, entry, write});
+    ++descChanges_;
+}
+
+void
+Ustm::setStatus(TxDesc &tx, TxDesc::Status status)
+{
+    tx.status = status;
+    ++descChanges_;
 }
 
 void
@@ -834,7 +857,7 @@ Ustm::txRetryWait(ThreadContext &tc)
             downgradeEntry(tc, o);
     }
 
-    tx.status = TxDesc::Status::Retrying;
+    setStatus(tx, TxDesc::Status::Retrying);
     long spins = 0;
     while (tx.killedAge == 0 || tx.killedAge != tx.age) {
         tc.advance(policy_.stallPoll);
@@ -844,7 +867,7 @@ Ustm::txRetryWait(ThreadContext &tc)
     }
     // Woken: unwind (releases remaining read ownership) and let the
     // retry loop re-execute the body.
-    tx.status = TxDesc::Status::Active;
+    setStatus(tx, TxDesc::Status::Active);
     unwindAbort(tc, tx, "retry_wakeup");
 }
 
@@ -853,7 +876,7 @@ Ustm::unwindAbort(ThreadContext &tc, TxDesc &tx, const char *why)
 {
     UTM_PROF_PHASE(machine_, tc, ProfComp::Ustm,
                    ProfPhase::AbortUnwind);
-    tx.status = TxDesc::Status::Aborting;
+    setStatus(tx, TxDesc::Status::Aborting);
     machine_.stats().inc("ustm.aborts");
     machine_.stats().inc(std::string("ustm.aborts.") + why);
     // Telemetry edge, victim-side, for genuine conflict kills only
@@ -877,7 +900,7 @@ Ustm::unwindAbort(ThreadContext &tc, TxDesc &tx, const char *why)
         tc.store(it->addr, it->old, it->size);
     releaseAll(tc, tx);
     tx.undo.clear();
-    tx.status = TxDesc::Status::Inactive;
+    setStatus(tx, TxDesc::Status::Inactive);
     tx.depth = 0;
     tx.killedAge = 0;
     if (strong_)
@@ -936,38 +959,71 @@ Ustm::anyOwnerRetrying(std::uint64_t owners) const
 bool
 Ustm::verifyOracleInvariants(std::string *why) const
 {
-    std::ostringstream os;
+    if (!undoLogsBalanced(why))
+        return false;
+    if (!strong_)
+        return true;
+    const LockstepInputs in = lockstepInputs();
+    if (lockstepPassed_ == in)
+        return true; // Nothing the scan reads changed since it passed.
+    if (!lockstepHolds(why))
+        return false;
+    lockstepPassed_ = in;
+    return true;
+}
 
-    // Undo-log balance: outside a transaction (and while parked in
-    // txRetryWait, which restores before parking) the undo log must
-    // be empty, and a quiescent descriptor must hold no ownership.
+bool
+Ustm::verifyOracleInvariantsFull(std::string *why) const
+{
+    return undoLogsBalanced(why) && (!strong_ || lockstepHolds(why));
+}
+
+Ustm::LockstepInputs
+Ustm::lockstepInputs() const
+{
+    // The shards sit back to back in ascending address order.
+    const SimMemory &mem = machine_.memory();
+    std::uint64_t writes = 0;
+    for (Addr page = otables_.front().base() & ~(SimMemory::kPageSize - 1);
+         page < otables_.back().end(); page += SimMemory::kPageSize)
+        writes += mem.pageWrites(page);
+    return {writes, mem.ufoChanges(), descChanges_};
+}
+
+bool
+Ustm::undoLogsBalanced(std::string *why) const
+{
+    // Outside a transaction (and while parked in txRetryWait, which
+    // restores before parking) the undo log must be empty, and a
+    // quiescent descriptor must hold no ownership.
     for (ThreadId t = 0; t < machine_.numThreads(); ++t) {
         const TxDesc &tx = txs_[t];
         if (tx.status == TxDesc::Status::Inactive &&
             (!tx.undo.empty() || !tx.owned.empty() || tx.depth != 0)) {
-            os << "thread " << t << " inactive but undo="
-               << tx.undo.size() << " owned=" << tx.owned.size()
-               << " depth=" << tx.depth;
-            *why = os.str();
-            return false;
+            return violation(why,
+                             "thread %d inactive but undo=%zu owned=%zu "
+                             "depth=%d",
+                             t, tx.undo.size(), tx.owned.size(), tx.depth);
         }
         if (tx.status == TxDesc::Status::Retrying && !tx.undo.empty()) {
-            os << "thread " << t << " parked in retry with "
-               << tx.undo.size() << " unrestored undo records";
-            *why = os.str();
-            return false;
+            return violation(why,
+                             "thread %d parked in retry with %zu "
+                             "unrestored undo records",
+                             t, tx.undo.size());
         }
     }
+    return true;
+}
 
-    if (!strong_)
-        return true;
-
+bool
+Ustm::lockstepHolds(std::string *why) const
+{
     const SimMemory &mem = machine_.memory();
 
-    // Lockstep, direction 1: every owned, published (row unlocked)
-    // otable entry has the protection bits Algorithm 2 installed with
-    // it — fault-on-read+write for write ownership, fault-on-write
-    // for read ownership.
+    // Direction 1: every owned, published (row unlocked) otable entry
+    // has the protection bits Algorithm 2 installed with it —
+    // fault-on-read+write for write ownership, fault-on-write for read
+    // ownership.
     for (ThreadId t = 0; t < machine_.numThreads(); ++t) {
         const TxDesc &tx = txs_[t];
         if (tx.status == TxDesc::Status::Inactive)
@@ -983,20 +1039,19 @@ Ustm::verifyOracleInvariants(std::string *why) const
             UfoBits expect = e.write ? kUfoBoth : kUfoWriteOnly;
             UfoBits got = mem.ufoBits(o.line);
             if (!(got == expect)) {
-                os << "line 0x" << std::hex << o.line << std::dec
-                   << ": otable " << (e.write ? "write" : "read")
-                   << "-owned (thread " << t << ") but UFO bits are"
-                   << " {r=" << got.faultOnRead
-                   << ",w=" << got.faultOnWrite << "}";
-                *why = os.str();
-                return false;
+                return violation(why,
+                                 "line 0x%llx: otable %s-owned (thread "
+                                 "%d) but UFO bits are {r=%d,w=%d}",
+                                 (unsigned long long)o.line,
+                                 e.write ? "write" : "read", t,
+                                 got.faultOnRead, got.faultOnWrite);
             }
         }
     }
 
-    // Lockstep, direction 2: every line with UFO protection has a
-    // matching published otable entry.  forEachUfoLine walks lines in
-    // ascending order, so the first violation is the lowest line.
+    // Direction 2: every line with UFO protection has a matching
+    // published otable entry.  forEachUfoLine walks lines in ascending
+    // order, so the first violation is the lowest line.
     bool ok = true;
     mem.forEachUfoLine([&](LineAddr line, UfoBits bits) {
         PeekedEntry e = peekEntry(line);
@@ -1012,11 +1067,9 @@ Ustm::verifyOracleInvariants(std::string *why) const
         }
         if (!what)
             return true;
-        os << "line 0x" << std::hex << line << std::dec
-           << ": UFO bits {r=" << bits.faultOnRead
-           << ",w=" << bits.faultOnWrite << "} but " << what;
-        *why = os.str();
-        ok = false;
+        ok = violation(why, "line 0x%llx: UFO bits {r=%d,w=%d} but %s",
+                       (unsigned long long)line, bits.faultOnRead,
+                       bits.faultOnWrite, what);
         return false;
     });
     return ok;

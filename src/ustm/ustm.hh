@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -194,8 +195,20 @@ class Ustm
      * transaction are exempt, since a BTM Section 6 inspect may have
      * speculatively cleared their bits) and undo-log balance (a
      * quiescent descriptor holds no undo records and no ownership).
+     *
+     * The lockstep scan is memoized: it reads only the otable pages,
+     * the UFO bits and the descriptors' status and owned lines, so
+     * when SimMemory's write counts for the otable pages, its UFO
+     * change count and descChanges_ all equal those of the last
+     * passing scan, the remembered pass is returned.  Failures are
+     * never remembered: a failing check always scans in full, so
+     * every report is the full scan's.
      */
     bool verifyOracleInvariants(std::string *why) const;
+
+    /** verifyOracleInvariants() without the memo: always the full
+     *  lockstep scan (tests cross-check the two). */
+    bool verifyOracleInvariantsFull(std::string *why) const;
 
     /** Is @p line owned by, or in the undo log of, any live tx? */
     bool lineBusy(LineAddr line) const;
@@ -323,6 +336,24 @@ class Ustm
     /** Section 6 wake hook: called after the BTM commit. */
     void wakeRetryers(const std::vector<RetryWakeupHooks::Token> &t);
 
+    /** The only writer of TxDesc::status; bumps descChanges_. */
+    void setStatus(TxDesc &tx, TxDesc::Status status);
+
+    /** @name verifyOracleInvariants() parts. @{ */
+    bool undoLogsBalanced(std::string *why) const;
+    bool lockstepHolds(std::string *why) const;
+
+    /** Change counts of everything lockstepHolds() reads. */
+    struct LockstepInputs
+    {
+        std::uint64_t otableWrites; ///< Writes to the otable pages.
+        std::uint64_t ufoChanges;   ///< SimMemory::ufoChanges().
+        std::uint64_t descChanges;  ///< descChanges_.
+        bool operator==(const LockstepInputs &) const = default;
+    };
+    LockstepInputs lockstepInputs() const;
+    /** @} */
+
     /** Lock the row; returns the locked w0 or 0 on failure. */
     bool lockRow(ThreadContext &tc, Addr head, std::uint64_t w0);
 
@@ -356,6 +387,17 @@ class Ustm
     std::vector<std::string> shardRowLockWaitName_;
     /** @} */
     std::array<TxDesc, kMaxThreads> txs_;
+    /**
+     * Bumped on every status change and every push onto an owned
+     * list: the descriptor changes that can turn a passing lockstep
+     * scan into a failing one (leaving Retrying ends a line's
+     * exemption; a pushed line gains a direction-1 check).  Clearing
+     * or reordering an owned list only drops or reorders checks, so
+     * a pass stays a pass.
+     */
+    std::uint64_t descChanges_ = 0;
+    /** Inputs of the last passing lockstep scan. */
+    mutable std::optional<LockstepInputs> lockstepPassed_;
     bool breakUfoLockstep_ = false;
 };
 

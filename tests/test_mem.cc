@@ -185,6 +185,43 @@ TEST(SimMemory, UfoLineIndexTracksEveryWrite)
     EXPECT_FALSE(mem.pageHasUfoBits(c));
 }
 
+TEST(SimMemory, PageWriteCountAdvancesOnEveryWrite)
+{
+    // The lockstep oracle's memo keys on these counts: every write()
+    // must move its page's count, whatever it stores.
+    SimMemory mem;
+    const Addr page = 0x20000, high = 0x100000000ull;
+    EXPECT_EQ(mem.pageWrites(page), 0u);
+    mem.write(page, 1, 8);
+    mem.write(page, 1, 8); // Same value.
+    mem.write(page + SimMemory::kPageSize - 1, 0, 1); // Last byte.
+    EXPECT_EQ(mem.pageWrites(page), 3u);
+    EXPECT_EQ(mem.pageWrites(page + 0x1234), 3u);
+    EXPECT_EQ(mem.pageWrites(page + SimMemory::kPageSize), 0u);
+    mem.setUfoBits(page + 0x40, kUfoBoth); // Bits are not data.
+    (void)mem.read(page, 8);
+    EXPECT_EQ(mem.pageWrites(page), 3u);
+    mem.write(high, 1, 4); // A page above the 4 GiB table.
+    EXPECT_EQ(mem.pageWrites(high), 1u);
+    EXPECT_EQ(mem.pageWrites(page), 3u);
+}
+
+TEST(SimMemory, UfoChangeCountAdvancesOnEverySetUfoBits)
+{
+    SimMemory mem;
+    EXPECT_EQ(mem.ufoChanges(), 0u);
+    mem.setUfoBits(0x40, kUfoBoth);
+    mem.setUfoBits(0x40, kUfoBoth);      // Unchanged bits.
+    mem.setUfoBits(0x80, kUfoNone);      // Zero to zero.
+    mem.addUfoBits(0x40, kUfoWriteOnly); // Through setUfoBits.
+    EXPECT_EQ(mem.ufoChanges(), 4u);
+    mem.write(0x40, 1, 8); // Data writes do not count.
+    (void)mem.ufoBits(0x40);
+    EXPECT_EQ(mem.ufoChanges(), 4u);
+    mem.setUfoBits(0x40, kUfoNone);
+    EXPECT_EQ(mem.ufoChanges(), 5u);
+}
+
 TEST(SimMemory, UfoFaultPredicate)
 {
     EXPECT_TRUE(kUfoBoth.faults(AccessType::Read));

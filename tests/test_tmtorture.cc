@@ -18,6 +18,10 @@
  *    lockstep (via the test-only hook) is caught by the
  *    backend-invariants oracle, and the failing schedule minimizes to
  *    a smaller reproducer;
+ *  - a run cut by a violation or a crash still exports its scheduler
+ *    counters;
+ *  - the memoized lockstep oracle agrees with the full scan at every
+ *    step of clean, mutated and retry runs and across direct stores;
  *  - regressions for the two organic bugs tmtorture found (the BTM
  *    inspect row-lock window and the releaseEntry starvation
  *    livelock).
@@ -26,11 +30,17 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/tx_system.hh"
+#include "rt/heap.hh"
+#include "sim/machine.hh"
+#include "sim/oracle.hh"
 #include "sim/scheduler.hh"
 #include "torture/torture.hh"
+#include "ustm/ustm.hh"
 
 namespace utm {
 namespace {
@@ -301,6 +311,36 @@ TEST(TmTorture, LockstepMutationIsCaughtAndMinimized)
     EXPECT_EQ(replayed.oracle, res.oracle);
 }
 
+TEST(TmTorture, CutRunsExportSchedulerCounters)
+{
+    // A run cut by an oracle violation or by the injected crash still
+    // exports its scheduler counters, the policy's run-end counters
+    // included.
+    auto counter = [](const std::map<std::string, std::uint64_t> &stats,
+                      const char *name) {
+        auto it = stats.find(name);
+        return it == stats.end() ? std::uint64_t(0) : it->second;
+    };
+    TortureConfig cfg =
+        smallConfig(TxSystemKind::UfoHybrid, SchedPolicy::Pct, 1);
+    cfg.injectLockstepBug = true;
+    const TortureResult violated = torture::runTorture(cfg);
+    ASSERT_TRUE(violated.violated);
+    EXPECT_EQ(counter(violated.stats, "sched.steps"), violated.steps);
+    EXPECT_GT(counter(violated.stats, "torture.oracle_checks"), 0u);
+    EXPECT_EQ(violated.stats.count("sched.pct_demotions"), 1u);
+
+    cfg.injectLockstepBug = false;
+    cfg.workload = torture::TortureWorkload::Kv;
+    const torture::CrashTortureResult crashed =
+        torture::runCrashTorture(cfg, /*crash_step=*/300);
+    ASSERT_TRUE(crashed.ok) << crashed.why;
+    EXPECT_EQ(counter(crashed.stats, "sched.steps"), crashed.crashSteps);
+    EXPECT_EQ(crashed.crashSteps, 300u);
+    EXPECT_GT(counter(crashed.stats, "torture.oracle_checks"), 0u);
+    EXPECT_EQ(crashed.stats.count("sched.pct_demotions"), 1u);
+}
+
 TEST(TmTorture, MutationNotInjectedPassesSameConfig)
 {
     // Control for the self-test: identical config, hook off => green.
@@ -308,6 +348,161 @@ TEST(TmTorture, MutationNotInjectedPassesSameConfig)
         smallConfig(TxSystemKind::UstmStrong, SchedPolicy::MinClock, 1);
     TortureResult res = torture::runTorture(cfg);
     EXPECT_TRUE(res.ok()) << res.oracle << ": " << res.why;
+}
+
+/** Fails the run when Ustm's memoized oracle and its full scan differ
+ *  in verdict or report.  Registered ahead of the harness's oracles,
+ *  so it also sees the step at which the backend oracle fails. */
+class LockstepMemoCrossCheck final : public InvariantOracle
+{
+  public:
+    explicit LockstepMemoCrossCheck(const Ustm &ustm) : ustm_(ustm) {}
+
+    const char *name() const override { return "lockstep-memo"; }
+
+    bool
+    check(std::string *why) override
+    {
+        std::string memoWhy, fullWhy;
+        const bool memo = ustm_.verifyOracleInvariants(&memoWhy);
+        const bool full = ustm_.verifyOracleInvariantsFull(&fullWhy);
+        ++checks;
+        fullFailures += !full;
+        if (memo == full && memoWhy == fullWhy)
+            return true;
+        auto verdict = [](bool ok, const std::string &w) {
+            return ok ? std::string("passes") : "fails: " + w;
+        };
+        *why = "memo " + verdict(memo, memoWhy) + "; full scan " +
+               verdict(full, fullWhy);
+        return false;
+    }
+
+    std::uint64_t checks = 0;
+    std::uint64_t fullFailures = 0;
+
+  private:
+    const Ustm &ustm_;
+};
+
+TEST(TmTorture, LockstepMemoAgreesWithFullScan)
+{
+    // Every step of both strongly-atomic backends under every policy,
+    // over cells, kv and sharded kv: the memoized check must give the
+    // full scan's verdict and report.  With the lockstep mutation the
+    // two must agree on the failing step too, and the backend oracle
+    // must still be the one that fails.
+    std::vector<TortureConfig> cfgs;
+    for (bool mutate : {false, true}) {
+        for (TxSystemKind kind :
+             {TxSystemKind::UfoHybrid, TxSystemKind::UstmStrong}) {
+            for (SchedPolicy policy : kAllPolicies) {
+                for (unsigned shards : {0u, 1u, 4u}) { // 0: cells.
+                    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                        TortureConfig cfg = smallConfig(kind, policy, seed);
+                        if (shards) {
+                            cfg.workload = torture::TortureWorkload::Kv;
+                            cfg.kvShards = shards;
+                        }
+                        cfg.injectLockstepBug = mutate;
+                        cfgs.push_back(cfg);
+                    }
+                }
+            }
+        }
+    }
+    for (const TortureConfig &cfg : cfgs) {
+        std::optional<LockstepMemoCrossCheck> xcheck;
+        const TortureResult res = torture::runTorture(
+            cfg, [&](Machine &m, TxSystem &sys) {
+                xcheck.emplace(*sys.ustmRuntime());
+                m.addOracle(&*xcheck);
+            });
+        const std::string what =
+            std::string(txSystemKindName(cfg.kind)) + "/" +
+            schedPolicyName(cfg.sched.policy) + "/" +
+            torture::tortureWorkloadName(cfg.workload) + " x" +
+            std::to_string(cfg.kvShards) + " seed " +
+            std::to_string(cfg.seed) +
+            (cfg.injectLockstepBug ? " mutated" : "");
+        ASSERT_TRUE(xcheck) << what;
+        EXPECT_GT(xcheck->checks, 0u) << what;
+        if (cfg.injectLockstepBug) {
+            EXPECT_TRUE(res.violated) << what;
+            EXPECT_EQ(res.oracle, "backend-invariants")
+                << what << ": " << res.why;
+        } else {
+            EXPECT_TRUE(res.ok())
+                << what << ": oracle '" << res.oracle << "' at step "
+                << res.violationStep << ": " << res.why;
+        }
+    }
+
+    MachineConfig mc;
+    mc.timerQuantum = 0;
+
+    // Section 6 retry, which the torture workloads do not use: the
+    // producer's hardware transaction spec-clears the bits of the
+    // flag line the parked consumer read-owns, and wakes it at
+    // commit.  The consumer leaves Retrying, and so loses its line's
+    // exemption, in a step that writes neither the otable nor a UFO
+    // bit: only the descriptor count tells the memo.  The full scan
+    // fails from that step until the consumer releases the line.
+    {
+        mc.numCores = 2;
+        Machine m(mc);
+        auto sys = TxSystem::create(TxSystemKind::UfoHybrid, m);
+        sys->setup();
+        TxHeap heap(m);
+        const Addr flag = heap.allocZeroed(m.initContext(), 8, true);
+        m.addThread([&](ThreadContext &tc) {
+            sys->atomic(tc, [&](TxHandle &h) {
+                if (h.read<std::uint64_t>(flag) == 0)
+                    h.retryWait();
+            });
+        });
+        m.addThread([&](ThreadContext &tc) {
+            tc.advance(2000); // Let the consumer park first.
+            sys->atomic(tc, [&](TxHandle &h) {
+                h.write<std::uint64_t>(flag, 1);
+            });
+        });
+        LockstepMemoCrossCheck xcheck(*sys->ustmRuntime());
+        m.addOracle(&xcheck);
+        try {
+            m.run();
+        } catch (const OracleViolation &v) {
+            FAIL() << "retry: " << v.why << " at step " << v.step;
+        }
+        EXPECT_GT(m.stats().get("btm.retry_spec_clears"), 0u);
+        EXPECT_GT(xcheck.fullFailures, 0u);
+    }
+
+    // Stores that change no descriptor: an otable word and a line's
+    // UFO bits each rewritten between two checks, as a stray store
+    // would.  Only SimMemory's counts tell the memo.
+    {
+        mc.numCores = 1;
+        Machine m(mc);
+        ThreadContext &tc = m.initContext();
+        Ustm ustm(m, /*strong_atomic=*/true);
+        ustm.setup(tc);
+        LockstepMemoCrossCheck xcheck(ustm);
+        const LineAddr line = 0x10000;
+        ustm.txBegin(tc);
+        ustm.readBarrier(tc, line);
+        const Addr head = ustm.otable().bucketAddr(line);
+        const std::uint64_t w0 = m.memory().read(head, 8);
+        std::string why;
+        EXPECT_TRUE(xcheck.check(&why)) << why;
+        m.memory().write(head, w0 | Otable::kWrite, 8);
+        EXPECT_TRUE(xcheck.check(&why)) << "otable store: " << why;
+        m.memory().write(head, w0, 8);
+        EXPECT_TRUE(xcheck.check(&why)) << why;
+        m.memory().setUfoBits(line, kUfoBoth);
+        EXPECT_TRUE(xcheck.check(&why)) << "UFO store: " << why;
+        EXPECT_EQ(xcheck.fullFailures, 2u);
+    }
 }
 
 // ------------------------------------------------ Found-bug pinning
