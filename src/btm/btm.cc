@@ -47,7 +47,6 @@ BtmUnit::resetTxState()
     writeSet_.clear();
     doomed_ = false;
     doomReason_ = AbortReason::None;
-    doomAddr_ = 0;
 }
 
 void
@@ -186,7 +185,6 @@ BtmUnit::wound(AbortReason r, ThreadId killer, LineAddr line)
     rollback(/*invalidate_writes=*/true);
     doomed_ = true;
     doomReason_ = r;
-    doomAddr_ = 0;
     machine_.stats().inc("btm.wounds");
     machine_.contention().btmHotLines().observe(line);
     if (machine_.telemetry().enabled()) {
@@ -204,22 +202,8 @@ BtmUnit::wound(AbortReason r, ThreadId killer, LineAddr line)
 void
 BtmUnit::takePendingAbort()
 {
-    UTM_PROF_PHASE(machine_, tc_, ProfComp::Btm,
-                   ProfPhase::AbortUnwind);
-    utm_assert(inTx_ && doomed_);
-    AbortReason r = doomReason_;
-    Addr a = doomAddr_;
-    doomed_ = false;
-    inTx_ = false;
-    depth_ = 0;
-    lastReason_ = r;
-    lastAddr_ = a;
-    ++aborts_;
-    machine_.stats().inc(std::string("btm.aborts.") + abortReasonName(r));
-    UTM_TRACE_EVENT(machine_, tc_, TraceEvent::TxAbort,
-                    TracePath::Hardware, r);
-    tc_.advance(kAbortPenalty);
-    throw BtmAbortException{r, a};
+    utm_assert(doomed_);
+    raiseAbort(doomReason_, 0);
 }
 
 void

@@ -148,7 +148,6 @@ class BtmUnit : public BtmClient
     std::uint64_t age_ = 0;
     bool doomed_ = false;
     AbortReason doomReason_ = AbortReason::None;
-    Addr doomAddr_ = 0;
 
     AbortReason lastReason_ = AbortReason::None;
     Addr lastAddr_ = 0;

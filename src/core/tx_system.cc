@@ -1,10 +1,7 @@
 #include "core/tx_system.hh"
 
-#include <algorithm>
-
 #include "hybrid/hytm.hh"
 #include "hybrid/phtm.hh"
-#include "hybrid/ufo_hybrid.hh"
 #include "hybrid/unbounded_htm.hh"
 #include "sim/logging.hh"
 #include "sim/machine.hh"
@@ -138,6 +135,12 @@ TxSystem::setup()
 {
 }
 
+const char *
+TxSystem::name() const
+{
+    return txSystemKindName(kind_);
+}
+
 std::uint64_t
 TxSystem::stmRead(ThreadContext &, Addr, unsigned)
 {
@@ -239,8 +242,6 @@ class NoTmSystem final : public TxSystem
         --depth_[tc.id()];
     }
 
-    const char *name() const override { return "no-tm"; }
-
     bool
     oracleLineBusy(LineAddr) const override
     {
@@ -296,14 +297,6 @@ class UstmSystem final : public TxSystem
             }
         }
     }
-
-    const char *
-    name() const override
-    {
-        return kind_ == TxSystemKind::UstmStrong ? "ustm-ufo" : "ustm";
-    }
-
-    Ustm &ustm() { return ustm_; }
 
     [[noreturn]] void
     onRetryWait(ThreadContext &tc, TxHandle::Path) override
@@ -377,18 +370,10 @@ class Tl2System final : public TxSystem
             } catch (const Tl2AbortException &) {
                 abortAttempt(tc);
                 machine_.stats().inc("tm.sw_retries");
-                ++attempts;
-                const int exp = std::min(attempts, policy_.backoffMaxExp);
-                const Cycles base = policy_.backoffBase << exp;
-                UTM_PROF_PHASE(machine_, tc, ProfComp::Tm,
-                               ProfPhase::Backoff);
-                tc.advance(base + tc.rng().nextBounded(base + 1));
-                tc.yield();
+                retryBackoff(tc, policy_, ++attempts);
             }
         }
     }
-
-    const char *name() const override { return "tl2"; }
 
     bool
     oracleInvariantsHold(std::string *why) const override
@@ -438,7 +423,9 @@ TxSystem::create(TxSystemKind kind, Machine &machine,
         sys = std::make_unique<UnboundedHtm>(machine, policy);
         break;
       case TxSystemKind::UfoHybrid:
-        sys = std::make_unique<UfoHybridTm>(machine, policy);
+        sys = std::make_unique<HybridTmBase>(
+            TxSystemKind::UfoHybrid, machine, policy,
+            /*strong_atomic_stm=*/true, /*explicit_means_conflict=*/false);
         break;
       case TxSystemKind::HyTm:
         sys = std::make_unique<HyTm>(machine, policy);

@@ -221,7 +221,8 @@ class TxSystem
     virtual void atomicAt(ThreadContext &tc, TxSiteId site,
                           const Body &body) = 0;
 
-    virtual const char *name() const = 0;
+    /** The system's name; txSystemKindName(kind()) by default. */
+    virtual const char *name() const;
 
     /**
      * Reason of the most recent hardware-path abort observed by

@@ -8,6 +8,17 @@
 
 namespace utm {
 
+void
+retryBackoff(ThreadContext &tc, const TmPolicy &policy, int attempt)
+{
+    const int exp = std::min(attempt, policy.backoffMaxExp);
+    const Cycles base = policy.backoffBase << exp;
+    const Cycles jitter = tc.rng().nextBounded(base + 1);
+    UTM_PROF_PHASE(tc.machine(), tc, ProfComp::Tm, ProfPhase::Backoff);
+    tc.advance(base + jitter);
+    tc.yield();
+}
+
 BtmAbortHandler::BtmAbortHandler(Machine &machine, const TmPolicy &policy,
                                  bool explicit_means_conflict,
                                  PathPredictor *predictor)
@@ -15,17 +26,6 @@ BtmAbortHandler::BtmAbortHandler(Machine &machine, const TmPolicy &policy,
       explicitMeansConflict_(explicit_means_conflict),
       predictor_(predictor)
 {
-}
-
-void
-BtmAbortHandler::backoff(ThreadContext &tc, int attempt)
-{
-    const int exp = std::min(attempt, policy_.backoffMaxExp);
-    const Cycles base = policy_.backoffBase << exp;
-    const Cycles jitter = tc.rng().nextBounded(base + 1);
-    UTM_PROF_PHASE(machine_, tc, ProfComp::Tm, ProfPhase::Backoff);
-    tc.advance(base + jitter);
-    tc.yield();
 }
 
 BtmAbortHandler::Decision
@@ -47,7 +47,7 @@ BtmAbortHandler::onContention(ThreadContext &tc, AbortHandlerState &st)
         return failover(tc, st, /*hard=*/false);
     }
     machine_.stats().inc("tm.retries.conflict");
-    backoff(tc, st.conflictAborts);
+    retryBackoff(tc, policy_, st.conflictAborts);
     return Decision::RetryHardware;
 }
 

@@ -44,6 +44,14 @@ struct AbortHandlerState
     }
 };
 
+/**
+ * Exponential backoff before retry @p attempt of a contended
+ * transaction: backoffBase << min(attempt, backoffMaxExp) cycles plus a
+ * uniform jitter of up to as many again, then a yield.  The one
+ * backoff of the abort handler, the unbounded HTM and TL2.
+ */
+void retryBackoff(ThreadContext &tc, const TmPolicy &policy, int attempt);
+
 /** Decides, per abort, between hardware retry and software failover. */
 class BtmAbortHandler
 {
@@ -66,8 +74,6 @@ class BtmAbortHandler
                      const BtmAbortException &e);
 
   private:
-    void backoff(ThreadContext &tc, int attempt);
-
     /** Shared contention handling (Conflict family and HyTM's
      *  Explicit): threshold check, then backoff + hardware retry. */
     Decision onContention(ThreadContext &tc, AbortHandlerState &st);

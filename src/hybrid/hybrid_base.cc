@@ -6,18 +6,52 @@
 
 namespace utm {
 
+BtmTxSystem::BtmTxSystem(TxSystemKind kind, Machine &machine,
+                         const TmPolicy &policy, bool unbounded_btm)
+    : TxSystem(kind, machine, policy), unboundedBtm_(unbounded_btm)
+{
+    machine.memsys().setBtmPolicy(policy.btm);
+}
+
+BtmUnit &
+BtmTxSystem::btm(ThreadContext &tc)
+{
+    auto &slot = btms_[tc.id()];
+    if (!slot)
+        slot = std::make_unique<BtmUnit>(tc, unboundedBtm_);
+    return *slot;
+}
+
+bool
+BtmTxSystem::oracleInvariantsHold(std::string *why) const
+{
+    for (ThreadId t = 0; t < machine_.numThreads(); ++t) {
+        if (btms_[t] && !btms_[t]->idleStateClean()) {
+            *why = "thread " + std::to_string(t) +
+                   " BTM unit idle with undrained speculative state";
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
+BtmTxSystem::oracleLineBusy(LineAddr line) const
+{
+    return machine_.memsys().lineHasSpecWriter(line);
+}
+
 HybridTmBase::HybridTmBase(TxSystemKind kind, Machine &machine,
                            const TmPolicy &policy,
                            bool strong_atomic_stm,
                            bool explicit_means_conflict)
-    : TxSystem(kind, machine, policy),
+    : BtmTxSystem(kind, machine, policy, /*unbounded_btm=*/false),
       ustm_(std::make_unique<Ustm>(machine, strong_atomic_stm,
                                    policy.ustm)),
       predictor_(machine, policy_.predictor),
       abortHandler_(machine, policy_, explicit_means_conflict,
                     &predictor_)
 {
-    machine.memsys().setBtmPolicy(policy.btm);
 }
 
 void
@@ -26,13 +60,35 @@ HybridTmBase::setup()
     ustm_->setup(machine_.initContext());
 }
 
-BtmUnit &
-HybridTmBase::btm(ThreadContext &tc)
+void
+HybridTmBase::atomicAt(ThreadContext &tc, TxSiteId site, const Body &body)
 {
-    auto &slot = btms_[tc.id()];
-    if (!slot)
-        slot = std::make_unique<BtmUnit>(tc);
-    return *slot;
+    if (runNestedInline(tc, body))
+        return;
+    AbortHandlerState &st = handlerState(tc);
+    st.newTransaction(site);
+    if (!predictedSoftwareStart(tc, st)) {
+        BtmUnit &unit = btm(tc);
+        for (;;) {
+            try {
+                beginAttempt(tc);
+                unit.txBegin();
+                TxHandle h = makeHandle(tc, TxHandle::Path::Hardware);
+                body(h);
+                unit.txEnd();
+                machine_.stats().inc("tm.commits.hw");
+                commitAttempt(tc);
+                predictor_.onHardwareCommit(tc, st.site, st.prediction);
+                return;
+            } catch (const BtmAbortException &e) {
+                abortAttempt(tc);
+                if (abortHandler_.onAbort(tc, st, e) !=
+                    BtmAbortHandler::Decision::RetryHardware)
+                    break;
+            }
+        }
+    }
+    runSoftware(tc, body);
 }
 
 AbortHandlerState &
@@ -76,30 +132,6 @@ HybridTmBase::predictedSoftwareStart(ThreadContext &tc,
     return true;
 }
 
-bool
-HybridTmBase::tryHardware(ThreadContext &tc, const Body &body,
-                          BtmAbortHandler::Decision *decision)
-{
-    BtmUnit &unit = btm(tc);
-    try {
-        beginAttempt(tc);
-        unit.txBegin();
-        TxHandle h = makeHandle(tc, TxHandle::Path::Hardware);
-        body(h);
-        unit.txEnd();
-        ++hwCommits_;
-        machine_.stats().inc("tm.commits.hw");
-        commitAttempt(tc);
-        AbortHandlerState &st = handlerState(tc);
-        predictor_.onHardwareCommit(tc, st.site, st.prediction);
-        return true;
-    } catch (const BtmAbortException &e) {
-        abortAttempt(tc);
-        *decision = abortHandler_.onAbort(tc, handlerState(tc), e);
-        return false;
-    }
-}
-
 void
 HybridTmBase::runSoftware(ThreadContext &tc, const Body &body)
 {
@@ -113,7 +145,6 @@ HybridTmBase::runSoftware(ThreadContext &tc, const Body &body)
             TxHandle h = makeHandle(tc, TxHandle::Path::Software);
             body(h);
             ustm_->txEnd(tc);
-            ++swCommits_;
             machine_.stats().inc("tm.commits.sw");
             commitAttempt(tc);
             return;
@@ -163,23 +194,14 @@ HybridTmBase::onRetryWait(ThreadContext &tc, TxHandle::Path p)
 bool
 HybridTmBase::oracleInvariantsHold(std::string *why) const
 {
-    if (!ustm_->verifyOracleInvariants(why))
-        return false;
-    for (ThreadId t = 0; t < machine_.numThreads(); ++t) {
-        if (btms_[t] && !btms_[t]->idleStateClean()) {
-            *why = "thread " + std::to_string(t) +
-                   " BTM unit idle with undrained speculative state";
-            return false;
-        }
-    }
-    return true;
+    return ustm_->verifyOracleInvariants(why) &&
+           BtmTxSystem::oracleInvariantsHold(why);
 }
 
 bool
 HybridTmBase::oracleLineBusy(LineAddr line) const
 {
-    return machine_.memsys().lineHasSpecWriter(line) ||
-           ustm_->lineBusy(line);
+    return BtmTxSystem::oracleLineBusy(line) || ustm_->lineBusy(line);
 }
 
 } // namespace utm

@@ -1,8 +1,11 @@
 /**
  * @file
- * Shared plumbing for the hybrid TM systems (UFO hybrid, HyTM, PhTM):
- * per-thread BTM units and abort-handler state, a USTM software side,
- * and the software-path transaction loop.
+ * Shared plumbing for the systems with a hardware path.  BtmTxSystem
+ * holds the per-thread BTM units (the unbounded HTM and the three
+ * hybrids).  HybridTmBase adds a USTM software side and the
+ * abort-handler state and runs the Figure 4 hardware-first loop,
+ * which makes it the paper's UFO hybrid (Section 4.3) and the base
+ * of HyTM and PhTM.
  */
 
 #ifndef UFOTM_HYBRID_HYBRID_BASE_HH
@@ -19,22 +22,14 @@
 
 namespace utm {
 
-/** Common base of the three hybrid TM systems. */
-class HybridTmBase : public TxSystem
+/**
+ * A TM system with a hardware path: one BtmUnit per thread, created
+ * on first use.  The units answer lastHwAbortReason(), the idle-state
+ * oracle and the speculative-writer half of oracleLineBusy().
+ */
+class BtmTxSystem : public TxSystem
 {
   public:
-    /** Cumulative per-system counters (also mirrored in stats). */
-    std::uint64_t hwCommits() const { return hwCommits_; }
-    std::uint64_t swCommits() const { return swCommits_; }
-
-    Ustm &ustm() { return *ustm_; }
-
-    /** @name tmtorture oracle hooks. @{ */
-    bool oracleInvariantsHold(std::string *why) const override;
-    bool oracleLineBusy(LineAddr line) const override;
-    Ustm *ustmRuntime() override { return ustm_.get(); }
-    /** @} */
-
     AbortReason
     lastHwAbortReason(ThreadContext &tc) const override
     {
@@ -42,15 +37,49 @@ class HybridTmBase : public TxSystem
         return unit ? unit->lastAbortReason() : AbortReason::None;
     }
 
+    /** @name tmtorture oracle hooks. @{ */
+    bool oracleInvariantsHold(std::string *why) const override;
+    bool oracleLineBusy(LineAddr line) const override;
+    /** @} */
+
   protected:
+    /** @param unbounded_btm Lift the units' L1 capacity bound. */
+    BtmTxSystem(TxSystemKind kind, Machine &machine,
+                const TmPolicy &policy, bool unbounded_btm);
+
+    /** This thread's BTM unit, created on first use. */
+    BtmUnit &btm(ThreadContext &tc);
+
+  private:
+    bool unboundedBtm_;
+    std::array<std::unique_ptr<BtmUnit>, kMaxThreads> btms_;
+};
+
+/**
+ * BTM + USTM hybrid running the Figure 4 control flow: hardware
+ * first, the Algorithm 3 abort handler choosing between a hardware
+ * retry and software failover.  With a strongly-atomic USTM and zero
+ * hardware instrumentation this is the paper's UFO hybrid; HyTM and
+ * PhTM derive from it.
+ */
+class HybridTmBase : public BtmTxSystem
+{
+  public:
     HybridTmBase(TxSystemKind kind, Machine &machine,
                  const TmPolicy &policy, bool strong_atomic_stm,
                  bool explicit_means_conflict);
 
     void setup() override;
+    void atomicAt(ThreadContext &tc, TxSiteId site,
+                  const Body &body) override;
 
-    /** Lazily create this thread's BTM unit. */
-    BtmUnit &btm(ThreadContext &tc);
+    /** @name tmtorture oracle hooks. @{ */
+    bool oracleInvariantsHold(std::string *why) const override;
+    bool oracleLineBusy(LineAddr line) const override;
+    Ustm *ustmRuntime() override { return ustm_.get(); }
+    /** @} */
+
+  protected:
     AbortHandlerState &handlerState(ThreadContext &tc);
 
     /**
@@ -64,11 +93,6 @@ class HybridTmBase : public TxSystem
 
     /** Run @p body to commit on the software path. */
     void runSoftware(ThreadContext &tc, const Body &body);
-
-    /** One hardware attempt; true on commit, false -> consult abort
-     *  decision in @p decision. */
-    bool tryHardware(ThreadContext &tc, const Body &body,
-                     BtmAbortHandler::Decision *decision);
 
     /**
      * Flattened nesting: when atomic() is called from inside an
@@ -90,10 +114,7 @@ class HybridTmBase : public TxSystem
     std::unique_ptr<Ustm> ustm_;
     PathPredictor predictor_; ///< Before abortHandler_ (it refers here).
     BtmAbortHandler abortHandler_;
-    std::array<std::unique_ptr<BtmUnit>, kMaxThreads> btms_;
     std::array<AbortHandlerState, kMaxThreads> handlerState_;
-    std::uint64_t hwCommits_ = 0;
-    std::uint64_t swCommits_ = 0;
 };
 
 } // namespace utm

@@ -12,67 +12,33 @@ HyTm::HyTm(Machine &machine, const TmPolicy &policy)
 }
 
 void
-HyTm::atomicAt(ThreadContext &tc, TxSiteId site, const Body &body)
-{
-    if (runNestedInline(tc, body))
-        return;
-    AbortHandlerState &st = handlerState(tc);
-    st.newTransaction(site);
-    if (predictedSoftwareStart(tc, st)) {
-        runSoftware(tc, body);
-        return;
-    }
-    for (;;) {
-        BtmAbortHandler::Decision d;
-        checked_[tc.id()].clear();
-        if (tryHardware(tc, body, &d))
-            return;
-        if (d == BtmAbortHandler::Decision::RetryHardware)
-            continue;
-        runSoftware(tc, body);
-        return;
-    }
-}
-
-void
 HyTm::hwBarrier(ThreadContext &tc, LineAddr line, bool is_write)
 {
     UTM_PROF_PHASE(machine_, tc, ProfComp::HyTm,
                    ProfPhase::OtableWalk);
-    auto &memo = checked_[tc.id()];
+    BarrierMemo &memo = checked_[tc.id()];
+    const std::uint64_t age = btm(tc).txAge();
+    if (memo.age != age) {
+        memo.age = age;
+        memo.lines.clear();
+    }
     const int need = is_write ? 2 : 1;
-    auto mit = memo.find(line);
-    if (mit != memo.end() && mit->second >= need)
+    auto mit = memo.lines.find(line);
+    if (mit != memo.lines.end() && mit->second >= need)
         return; // Redundant barrier eliminated.
 
-    Otable &ot = ustm_->otableFor(line);
-    const Addr head = ot.bucketAddr(line);
-    const std::uint64_t tag = Otable::tagOf(line);
-
-    // Transactional read: the otable word joins this hardware
-    // transaction's read set.
-    std::uint64_t w0 = tc.load(head, 8);
-    bool conflict = false;
-    if (Otable::locked(w0)) {
-        conflict = true; // Mutation in flight: be conservative.
-    } else if (Otable::used(w0) && Otable::tag(w0) == tag) {
-        conflict = is_write || Otable::writeState(w0);
-    } else if (Otable::hasChain(w0)) {
-        Addr node = tc.load(head + 16, 8);
-        while (node != 0) {
-            std::uint64_t nw0 = tc.load(node, 8);
-            if (Otable::used(nw0) && Otable::tag(nw0) == tag) {
-                conflict = is_write || Otable::writeState(nw0);
-                break;
-            }
-            node = tc.load(node + 16, 8);
-        }
-    }
-    if (conflict) {
+    // Transactional reads: the otable words join this hardware
+    // transaction's read set.  A locked row has a mutation in flight:
+    // be conservative.
+    const Otable::Entry e = ustm_->otableFor(line).find(
+        line, [&tc](Addr a) { return tc.load(a, 8); },
+        /*stop_at_lock=*/true);
+    if (Otable::locked(e.head) ||
+        (e.addr != 0 && (is_write || Otable::writeState(e.w0)))) {
         machine_.stats().inc("hytm.barrier_conflicts");
         btm(tc).txAbort(); // throws Explicit; handler retries in HW
     }
-    memo[line] = need;
+    memo.lines[line] = need;
 }
 
 std::uint64_t

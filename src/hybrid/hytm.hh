@@ -27,10 +27,6 @@ class HyTm : public HybridTmBase
   public:
     HyTm(Machine &machine, const TmPolicy &policy);
 
-    void atomicAt(ThreadContext &tc, TxSiteId site,
-                  const Body &body) override;
-    const char *name() const override { return "hytm"; }
-
   protected:
     std::uint64_t htmRead(ThreadContext &tc, Addr a,
                           unsigned size) override;
@@ -46,9 +42,15 @@ class HyTm : public HybridTmBase
      * Per-transaction barrier memo: redundant checks for a line
      * already checked this transaction are compiled away (a read
      * check is subsumed by a previous write check).  Values: 1 = read
-     * checked, 2 = write checked.
+     * checked, 2 = write checked.  Keyed on the hardware attempt's
+     * age, so every attempt starts with an empty memo.
      */
-    std::array<std::unordered_map<LineAddr, int>, kMaxThreads> checked_;
+    struct BarrierMemo
+    {
+        std::uint64_t age = 0;
+        std::unordered_map<LineAddr, int> lines;
+    };
+    std::array<BarrierMemo, kMaxThreads> checked_;
 };
 
 } // namespace utm

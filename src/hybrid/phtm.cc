@@ -54,7 +54,6 @@ PhTm::atomicAt(ThreadContext &tc, TxSiteId site, const Body &body)
             TxHandle h = makeHandle(tc, TxHandle::Path::Hardware);
             body(h);
             unit.txEnd();
-            ++hwCommits_;
             machine_.stats().inc("tm.commits.hw");
             commitAttempt(tc);
             predictor_.onHardwareCommit(tc, st.site, st.prediction);

@@ -34,7 +34,6 @@ class PhTm : public HybridTmBase
     void setup() override;
     void atomicAt(ThreadContext &tc, TxSiteId site,
                   const Body &body) override;
-    const char *name() const override { return "phtm"; }
 
   private:
     /** Run the body in the STM phase, managing both counters. */

@@ -1,26 +1,14 @@
 #include "hybrid/unbounded_htm.hh"
 
-#include <algorithm>
-
-#include "mem/memory_system.hh"
 #include "sim/logging.hh"
 #include "sim/machine.hh"
 
 namespace utm {
 
 UnboundedHtm::UnboundedHtm(Machine &machine, const TmPolicy &policy)
-    : TxSystem(TxSystemKind::UnboundedHtm, machine, policy)
+    : BtmTxSystem(TxSystemKind::UnboundedHtm, machine, policy,
+                  /*unbounded_btm=*/true)
 {
-    machine.memsys().setBtmPolicy(policy.btm);
-}
-
-BtmUnit &
-UnboundedHtm::btm(ThreadContext &tc)
-{
-    auto &slot = btms_[tc.id()];
-    if (!slot)
-        slot = std::make_unique<BtmUnit>(tc, /*is_unbounded=*/true);
-    return *slot;
 }
 
 void
@@ -57,17 +45,9 @@ UnboundedHtm::atomicAt(ThreadContext &tc, TxSiteId, const Body &body)
               case AbortReason::NonTConflict:
               case AbortReason::Interrupt:
               case AbortReason::UfoBitSet:
-              case AbortReason::UfoFault: {
-                ++conflicts;
-                const int exp =
-                    std::min(conflicts, policy_.backoffMaxExp);
-                const Cycles base = policy_.backoffBase << exp;
-                UTM_PROF_PHASE(machine_, tc, ProfComp::Tm,
-                               ProfPhase::Backoff);
-                tc.advance(base + tc.rng().nextBounded(base + 1));
-                tc.yield();
+              case AbortReason::UfoFault:
+                retryBackoff(tc, policy_, ++conflicts);
                 continue;
-              }
               default:
                 utm_fatal("unbounded HTM cannot recover from '%s' "
                           "aborts (no software fallback)",
@@ -75,25 +55,6 @@ UnboundedHtm::atomicAt(ThreadContext &tc, TxSiteId, const Body &body)
             }
         }
     }
-}
-
-bool
-UnboundedHtm::oracleInvariantsHold(std::string *why) const
-{
-    for (ThreadId t = 0; t < machine_.numThreads(); ++t) {
-        if (btms_[t] && !btms_[t]->idleStateClean()) {
-            *why = "thread " + std::to_string(t) +
-                   " BTM unit idle with undrained speculative state";
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-UnboundedHtm::oracleLineBusy(LineAddr line) const
-{
-    return machine_.memsys().lineHasSpecWriter(line);
 }
 
 } // namespace utm

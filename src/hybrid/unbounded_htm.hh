@@ -9,40 +9,18 @@
 #ifndef UFOTM_HYBRID_UNBOUNDED_HTM_HH
 #define UFOTM_HYBRID_UNBOUNDED_HTM_HH
 
-#include <array>
-#include <memory>
-
-#include "btm/btm.hh"
-#include "core/tx_system.hh"
+#include "hybrid/hybrid_base.hh"
 
 namespace utm {
 
 /** Pure-hardware TM without capacity bounds. */
-class UnboundedHtm : public TxSystem
+class UnboundedHtm : public BtmTxSystem
 {
   public:
     UnboundedHtm(Machine &machine, const TmPolicy &policy);
 
     void atomicAt(ThreadContext &tc, TxSiteId site,
                   const Body &body) override;
-    const char *name() const override { return "unbounded-htm"; }
-
-    /** @name tmtorture oracle hooks. @{ */
-    bool oracleInvariantsHold(std::string *why) const override;
-    bool oracleLineBusy(LineAddr line) const override;
-    /** @} */
-
-    AbortReason
-    lastHwAbortReason(ThreadContext &tc) const override
-    {
-        const auto &unit = btms_[tc.id()];
-        return unit ? unit->lastAbortReason() : AbortReason::None;
-    }
-
-  private:
-    BtmUnit &btm(ThreadContext &tc);
-
-    std::array<std::unique_ptr<BtmUnit>, kMaxThreads> btms_;
 };
 
 } // namespace utm

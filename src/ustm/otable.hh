@@ -97,6 +97,54 @@ class Otable
     static std::uint64_t tag(std::uint64_t w0) { return w0 >> kTagShift; }
     /** @} */
 
+    /** What one walk of a line's bucket found. */
+    struct Entry
+    {
+        std::uint64_t head = 0; ///< The bucket head's word0.
+        Addr addr = 0;          ///< The line's entry; 0 = none.
+        std::uint64_t w0 = 0;   ///< The entry's word0.
+    };
+
+    /**
+     * The bucket walk: load the head's word0 through @p load and,
+     * unless the head holds @p line, follow its chain (the head's next
+     * pointer, then each node's word0 and next pointer) up to the node
+     * that does.
+     * @p load(Addr) returns the 8-byte word there: a timed
+     * ThreadContext::load for barriers and fault handlers, a
+     * functional SimMemory::read for peeks.  With @p stop_at_lock a
+     * row-locked head ends the walk.
+     */
+    template <typename Load>
+    Entry
+    find(LineAddr line, Load &&load, bool stop_at_lock = false) const
+    {
+        const Addr head = bucketAddr(line);
+        const std::uint64_t t = tagOf(line);
+        const std::uint64_t h0 = load(head);
+        if (stop_at_lock && locked(h0))
+            return {h0, 0, 0};
+        if (used(h0) && tag(h0) == t)
+            return {h0, head, h0};
+        if (hasChain(h0)) {
+            for (Addr node = load(head + 16); node != 0;
+                 node = load(node + 16)) {
+                const std::uint64_t nw0 = load(node);
+                if (used(nw0) && tag(nw0) == t)
+                    return {h0, node, nw0};
+            }
+        }
+        return {h0, 0, 0};
+    }
+
+    /** Owner set of the entry at @p entry (loads word1 when multi). */
+    template <typename Load>
+    static std::uint64_t
+    owners(Addr entry, std::uint64_t w0, Load &&load)
+    {
+        return multi(w0) ? load(entry + 8) : 1ull << owner(w0);
+    }
+
     /** @name Chain-node pool (host-side free list). @{ */
     Addr allocNode();
     void freeNode(Addr node);

@@ -300,9 +300,8 @@ Ustm::clearUfo(ThreadContext &tc, LineAddr line)
 std::uint64_t
 Ustm::ownersOf(ThreadContext &tc, Addr entry, std::uint64_t w0)
 {
-    if (Otable::multi(w0))
-        return tc.load(entry + 8, 8);
-    return 1ull << Otable::owner(w0);
+    return Otable::owners(entry, w0,
+                          [&tc](Addr a) { return tc.load(a, 8); });
 }
 
 bool
@@ -310,6 +309,40 @@ Ustm::lockRow(ThreadContext &tc, Addr head, std::uint64_t w0)
 {
     utm_assert(!Otable::locked(w0));
     return tc.cas(head, 8, w0, w0 | Otable::kLock);
+}
+
+std::uint64_t
+Ustm::waitRowLock(ThreadContext &tc, LineAddr line, Addr head, bool starve)
+{
+    bool waited = false;
+    Cycles wait_start = 0;
+    for (;;) {
+        std::uint64_t w0 = tc.load(head, 8);
+        if (starve || Otable::locked(w0) || !lockRow(tc, head, w0)) {
+            if (!waited) {
+                waited = true;
+                wait_start = tc.now();
+            }
+            UTM_PROF_PHASE(machine_, tc, ProfComp::Ustm,
+                           ProfPhase::Backoff);
+            tc.advance(policy_.lockBackoff);
+            tc.yield();
+            continue;
+        }
+        if (waited)
+            observeRowLockWait(tc, line, wait_start);
+        return w0;
+    }
+}
+
+void
+Ustm::observeRowLockWait(ThreadContext &tc, LineAddr line,
+                         Cycles wait_start)
+{
+    machine_.contention().rowLockWait().observe(tc.now() - wait_start);
+    if (sharded_)
+        machine_.stats().observe(shardRowLockWaitName_[shardOf(line)],
+                                 tc.now() - wait_start);
 }
 
 void
@@ -338,14 +371,8 @@ Ustm::acquire(ThreadContext &tc, TxDesc &tx, LineAddr line,
         AcquireStep step = acquireStep(tc, tx, line, want_write);
         switch (step.kind) {
           case AcquireStep::Kind::Done:
-            if (waited) {
-                machine_.contention().rowLockWait().observe(
-                    tc.now() - wait_start);
-                if (sharded_)
-                    machine_.stats().observe(
-                        shardRowLockWaitName_[shardOf(line)],
-                        tc.now() - wait_start);
-            }
+            if (waited)
+                observeRowLockWait(tc, line, wait_start);
             if (sharded_) {
                 machine_.stats().inc("shard.acquires");
                 machine_.stats().inc(shardAcquiresName_[shardOf(line)]);
@@ -710,81 +737,54 @@ Ustm::releaseEntry(ThreadContext &tc, TxDesc &tx,
     const std::uint64_t my_bit = 1ull << self;
     Otable &ot = otableFor(o.line);
     const Addr head = ot.bucketAddr(o.line);
+    // Stall-injection hook: pretend the row lock is perpetually
+    // contended, reproducing the ReleaseStarvation livelock's steady
+    // state (see UstmPolicy::testOnlyStarveReleaseEntry).
+    const std::uint64_t w0 =
+        waitRowLock(tc, o.line, head, policy_.testOnlyStarveReleaseEntry);
 
-    bool waited = false;
-    Cycles wait_start = 0;
-    for (;;) {
-        std::uint64_t w0 = tc.load(head, 8);
-        // Stall-injection hook: pretend the row lock is perpetually
-        // contended, reproducing the ReleaseStarvation livelock's
-        // steady state (see UstmPolicy::testOnlyStarveReleaseEntry).
-        if (policy_.testOnlyStarveReleaseEntry || Otable::locked(w0) ||
-            !lockRow(tc, head, w0)) {
-            if (!waited) {
-                waited = true;
-                wait_start = tc.now();
-            }
-            UTM_PROF_PHASE(machine_, tc, ProfComp::Ustm,
-                           ProfPhase::Backoff);
-            tc.advance(policy_.lockBackoff);
-            tc.yield();
-            continue;
-        }
-        if (waited) {
-            machine_.contention().rowLockWait().observe(tc.now() -
-                                                        wait_start);
-            if (sharded_)
-                machine_.stats().observe(
-                    shardRowLockWaitName_[shardOf(o.line)],
-                    tc.now() - wait_start);
-        }
-
-        if (o.entry == head) {
-            utm_assert(Otable::used(w0) &&
-                       Otable::tag(w0) == Otable::tagOf(o.line));
-            std::uint64_t owners = ownersOf(tc, head, w0) & ~my_bit;
-            if (owners == 0) {
-                clearUfo(tc, o.line);
-                tc.store(head,
-                         Otable::hasChain(w0) ? Otable::kHasChain : 0,
-                         8);
-            } else {
-                utm_assert(!Otable::writeState(w0));
-                tc.store(head + 8, owners, 8);
-                tc.store(head, (w0 | Otable::kMulti) & ~Otable::kLock,
-                         8);
-            }
-            return;
-        }
-
-        // Chain node: find its predecessor pointer.
-        Addr prev_ptr = head + 16;
-        Addr node = tc.load(prev_ptr, 8);
-        while (node != 0 && node != o.entry) {
-            prev_ptr = node + 16;
-            node = tc.load(prev_ptr, 8);
-        }
-        utm_assert(node == o.entry);
-        std::uint64_t nw0 = tc.load(node, 8);
-        std::uint64_t owners = ownersOf(tc, node, nw0) & ~my_bit;
+    if (o.entry == head) {
+        utm_assert(Otable::used(w0) &&
+                   Otable::tag(w0) == Otable::tagOf(o.line));
+        std::uint64_t owners = ownersOf(tc, head, w0) & ~my_bit;
         if (owners == 0) {
             clearUfo(tc, o.line);
-            Addr next = tc.load(node + 16, 8);
-            tc.store(prev_ptr, next, 8);
-            ot.freeNode(node);
-            Addr first = tc.load(head + 16, 8);
-            std::uint64_t neww0 = w0;
-            if (first == 0)
-                neww0 &= ~Otable::kHasChain;
-            tc.store(head, neww0 & ~Otable::kLock, 8);
+            tc.store(head, Otable::hasChain(w0) ? Otable::kHasChain : 0,
+                     8);
         } else {
-            utm_assert(!Otable::writeState(nw0));
-            tc.store(node + 8, owners, 8);
-            if (!Otable::multi(nw0))
-                tc.store(node, nw0 | Otable::kMulti, 8);
-            tc.store(head, w0 & ~Otable::kLock, 8);
+            utm_assert(!Otable::writeState(w0));
+            tc.store(head + 8, owners, 8);
+            tc.store(head, (w0 | Otable::kMulti) & ~Otable::kLock, 8);
         }
         return;
+    }
+
+    // Chain node: find its predecessor pointer.
+    Addr prev_ptr = head + 16;
+    Addr node = tc.load(prev_ptr, 8);
+    while (node != 0 && node != o.entry) {
+        prev_ptr = node + 16;
+        node = tc.load(prev_ptr, 8);
+    }
+    utm_assert(node == o.entry);
+    std::uint64_t nw0 = tc.load(node, 8);
+    std::uint64_t owners = ownersOf(tc, node, nw0) & ~my_bit;
+    if (owners == 0) {
+        clearUfo(tc, o.line);
+        Addr next = tc.load(node + 16, 8);
+        tc.store(prev_ptr, next, 8);
+        ot.freeNode(node);
+        Addr first = tc.load(head + 16, 8);
+        std::uint64_t neww0 = w0;
+        if (first == 0)
+            neww0 &= ~Otable::kHasChain;
+        tc.store(head, neww0 & ~Otable::kLock, 8);
+    } else {
+        utm_assert(!Otable::writeState(nw0));
+        tc.store(node + 8, owners, 8);
+        if (!Otable::multi(nw0))
+            tc.store(node, nw0 | Otable::kMulti, 8);
+        tc.store(head, w0 & ~Otable::kLock, 8);
     }
 }
 
@@ -793,45 +793,21 @@ Ustm::downgradeEntry(ThreadContext &tc, TxDesc::Owned &o)
 {
     utm_assert(o.write);
     const Addr head = otableFor(o.line).bucketAddr(o.line);
-    bool waited = false;
-    Cycles wait_start = 0;
-    for (;;) {
-        std::uint64_t w0 = tc.load(head, 8);
-        if (Otable::locked(w0) || !lockRow(tc, head, w0)) {
-            if (!waited) {
-                waited = true;
-                wait_start = tc.now();
-            }
-            UTM_PROF_PHASE(machine_, tc, ProfComp::Ustm,
-                           ProfPhase::Backoff);
-            tc.advance(policy_.lockBackoff);
-            tc.yield();
-            continue;
-        }
-        if (waited) {
-            machine_.contention().rowLockWait().observe(tc.now() -
-                                                        wait_start);
-            if (sharded_)
-                machine_.stats().observe(
-                    shardRowLockWaitName_[shardOf(o.line)],
-                    tc.now() - wait_start);
-        }
-        if (o.entry == head) {
-            utm_assert(Otable::writeState(w0));
-            if (strong_)
-                tc.setUfoBits(o.line, kUfoWriteOnly);
-            tc.store(head, w0 & ~(Otable::kWrite | Otable::kLock), 8);
-        } else {
-            std::uint64_t nw0 = tc.load(o.entry, 8);
-            utm_assert(Otable::writeState(nw0));
-            tc.store(o.entry, nw0 & ~Otable::kWrite, 8);
-            if (strong_)
-                tc.setUfoBits(o.line, kUfoWriteOnly);
-            tc.store(head, w0 & ~Otable::kLock, 8);
-        }
-        o.write = false;
-        return;
+    const std::uint64_t w0 = waitRowLock(tc, o.line, head);
+    if (o.entry == head) {
+        utm_assert(Otable::writeState(w0));
+        if (strong_)
+            tc.setUfoBits(o.line, kUfoWriteOnly);
+        tc.store(head, w0 & ~(Otable::kWrite | Otable::kLock), 8);
+    } else {
+        std::uint64_t nw0 = tc.load(o.entry, 8);
+        utm_assert(Otable::writeState(nw0));
+        tc.store(o.entry, nw0 & ~Otable::kWrite, 8);
+        if (strong_)
+            tc.setUfoBits(o.line, kUfoWriteOnly);
+        tc.store(head, w0 & ~Otable::kLock, 8);
     }
+    o.write = false;
 }
 
 void
@@ -919,31 +895,13 @@ Ustm::PeekedEntry
 Ustm::peekEntry(LineAddr line) const
 {
     const SimMemory &mem = machine_.memory();
-    const std::uint64_t tag = Otable::tagOf(line);
-    const Addr head = otableFor(line).bucketAddr(line);
-    const std::uint64_t w0 = mem.read(head, 8);
-    const bool locked = Otable::locked(w0);
-    if (Otable::used(w0) && Otable::tag(w0) == tag) {
-        return {true, Otable::writeState(w0),
-                Otable::multi(w0) ? mem.read(head + 8, 8)
-                                  : 1ull << Otable::owner(w0),
-                locked};
-    }
-    if (Otable::hasChain(w0)) {
-        Addr node = mem.read(head + 16, 8);
-        while (node != 0) {
-            std::uint64_t nw0 = mem.read(node, 8);
-            if (Otable::used(nw0) && Otable::tag(nw0) == tag) {
-                return {true, Otable::writeState(nw0),
-                        Otable::multi(nw0)
-                            ? mem.read(node + 8, 8)
-                            : 1ull << Otable::owner(nw0),
-                        locked};
-            }
-            node = mem.read(node + 16, 8);
-        }
-    }
-    return {false, false, 0, locked};
+    const auto read = [&mem](Addr a) { return mem.read(a, 8); };
+    const Otable::Entry e = otableFor(line).find(line, read);
+    const bool locked = Otable::locked(e.head);
+    if (e.addr == 0)
+        return {false, false, 0, locked};
+    return {true, Otable::writeState(e.w0),
+            Otable::owners(e.addr, e.w0, read), locked};
 }
 
 bool
@@ -1166,23 +1124,9 @@ Ustm::nonTFaultHandler(ThreadContext &tc, Addr a, AccessType t)
     }
 
     // AbortTx policy: look up the owners and kill them.
-    const std::uint64_t tag = Otable::tagOf(line);
-    const Addr head = otableFor(line).bucketAddr(line);
-    std::uint64_t w0 = tc.load(head, 8);
-    std::uint64_t owners = 0;
-    if (Otable::used(w0) && Otable::tag(w0) == tag) {
-        owners = ownersOf(tc, head, w0);
-    } else if (Otable::hasChain(w0)) {
-        Addr node = tc.load(head + 16, 8);
-        while (node != 0) {
-            std::uint64_t nw0 = tc.load(node, 8);
-            if (Otable::used(nw0) && Otable::tag(nw0) == tag) {
-                owners = ownersOf(tc, node, nw0);
-                break;
-            }
-            node = tc.load(node + 16, 8);
-        }
-    }
+    const Otable::Entry e = otableFor(line).find(
+        line, [&tc](Addr a) { return tc.load(a, 8); });
+    const std::uint64_t owners = e.addr ? ownersOf(tc, e.addr, e.w0) : 0;
     if (owners == 0) {
         // Protection is mid-flight (insert or release in progress);
         // let the access retry.

@@ -354,8 +354,21 @@ class Ustm
     LockstepInputs lockstepInputs() const;
     /** @} */
 
-    /** Lock the row; returns the locked w0 or 0 on failure. */
+    /** One CAS to set @p head's row-lock bit over @p w0. */
     bool lockRow(ThreadContext &tc, Addr head, std::uint64_t w0);
+
+    /**
+     * Take @p line's row lock at @p head, backing off lockBackoff
+     * cycles after every lost race (a locked row or a failed CAS);
+     * with @p starve every race is lost.  Returns the head word the
+     * lock was set over.
+     */
+    std::uint64_t waitRowLock(ThreadContext &tc, LineAddr line, Addr head,
+                              bool starve = false);
+
+    /** Record a row-lock wait on @p line that began at @p wait_start. */
+    void observeRowLockWait(ThreadContext &tc, LineAddr line,
+                            Cycles wait_start);
 
     /** Functional (untimed) otable entry lookup.  `locked` is the
      *  bucket's row-lock bit: a locked row is mid-update under the

@@ -166,7 +166,8 @@ TEST(TmTorture, PctSchedulePinned)
     // PCT's picks, pinned: the seeded priority order, the change
     // points and the starvation-bound demotions choose every step, so
     // these figures move if pick() or a demotion ever chooses a
-    // different thread.
+    // different thread, or if any backend's simulated behaviour
+    // changes (every backend but no-tm has a row).
     struct Pin
     {
         TxSystemKind kind;
@@ -181,6 +182,16 @@ TEST(TmTorture, PctSchedulePinned)
         {TxSystemKind::UfoHybrid, 8, 719, 20695, 32, 26},
         {TxSystemKind::UstmStrong, 3, 3873, 16886, 164, 153},
         {TxSystemKind::UstmStrong, 8, 5888, 26060, 249, 238},
+        {TxSystemKind::UnboundedHtm, 3, 599, 2922, 27, 20},
+        {TxSystemKind::UnboundedHtm, 8, 743, 4098, 34, 27},
+        {TxSystemKind::HyTm, 3, 994, 38289, 45, 36},
+        {TxSystemKind::HyTm, 8, 1208, 8390, 54, 46},
+        {TxSystemKind::PhTm, 3, 1870, 9382, 82, 71},
+        {TxSystemKind::PhTm, 8, 1302, 6264, 57, 49},
+        {TxSystemKind::Ustm, 3, 3177, 14192, 135, 124},
+        {TxSystemKind::Ustm, 8, 4927, 22029, 210, 199},
+        {TxSystemKind::Tl2, 3, 1733, 429178, 71, 61},
+        {TxSystemKind::Tl2, 8, 2176, 403969, 97, 87},
     };
     for (const Pin &pin : pins) {
         TortureConfig cfg =

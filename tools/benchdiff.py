@@ -3,10 +3,10 @@
 
   benchdiff.py BASELINE CURRENT [--threshold 0.10] [--report PATH]
 
-Rows are matched by their identity fields (benchmark/system/threads/
-series/failover_rate/tx_per_thread, plus mode/request/shards/batch_k
-for svc rows);
-the compared metric is `cycles` where a row has one (figure5/figure6
+Rows are matched by their identity fields (benchmark/system/policy/
+threads/series/failover_rate/tx_per_thread, plus mode/request/shards/
+batch_k for svc rows);
+the compared metric is `cycles` where a row has one (figure5/6/8
 rows, lower is better), `p99_cycles` (svc latency rows, lower is
 better), else `throughput_tx_per_mcycle` / `throughput_req_per_mcycle`
 (figure7 / svc throughput rows, higher is better).  The simulator is
@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-KEY_FIELDS = ("benchmark", "system", "threads", "series",
+KEY_FIELDS = ("benchmark", "system", "policy", "threads", "series",
               "failover_rate", "tx_per_thread", "mode", "request",
               "shards", "batch_k")
 

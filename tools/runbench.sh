@@ -4,12 +4,13 @@
 #
 #   tools/runbench.sh [--build-dir DIR] [--out DIR]
 #
-# Runs the eight benches that back the regression gate
-# (figure5_speedup, figure6_aborts, figure7_failover, and bench_svc in
-# its service-latency, scaling-curve, predictor-A/B, batching-A/B, and
-# durability-A/B modes) with --quick (the pinned smoke scale:
-# figure5/6 at scale 0.5, figure7 at 96 tx/thread, svc at 24
-# requests/client, scaling at 12 requests/client) and writes
+# Runs the nine benches that back the regression gate
+# (figure5_speedup, figure6_aborts, figure7_failover,
+# figure8_sensitivity, and bench_svc in its service-latency,
+# scaling-curve, predictor-A/B, batching-A/B, and durability-A/B modes)
+# with --quick (the pinned smoke scale: figure5/6/8 at scale 0.5,
+# figure7 at 96 tx/thread, svc at 24 requests/client, scaling at 12
+# requests/client) and writes
 # BENCH_<name>.json into --out (default bench/baselines/, i.e. refresh
 # the committed baselines in place).
 #
@@ -38,7 +39,8 @@ mkdir -p "$out_dir"
 # "svc_predictor" with --predictor, "svc_batching" with --batching,
 # and "svc_durable" with --durable).
 for spec in figure5_speedup:figure5_speedup figure6_aborts:figure6_aborts \
-            figure7_failover:figure7_failover bench_svc:svc_latency \
+            figure7_failover:figure7_failover \
+            figure8_sensitivity:figure8_sensitivity bench_svc:svc_latency \
             bench_svc:svc_scaling:--scaling \
             bench_svc:svc_predictor:--predictor \
             bench_svc:svc_batching:--batching \
